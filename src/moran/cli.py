@@ -15,8 +15,7 @@ from fractions import Fraction
 from typing import Optional, Sequence, TextIO
 
 from . import fuglede, spectra, system, tiling
-from .errors import (BudgetError, HorizonError, MoranError, NotSpectralError,
-                     ParseError, PrecisionError)
+from .errors import BudgetError, MoranError, NotSpectralError, ParseError
 from .fourier import MeasureWindow
 from .system import format_rational, parse_rational
 
@@ -294,8 +293,7 @@ def run(argv: Sequence[str], out: Optional[TextIO] = None,
     except BudgetError as exc:
         print(f"budget exceeded: {exc}", file=err)
         return 2
-    except (ParseError, HorizonError, PrecisionError, MoranError, OSError,
-            ValueError) as exc:
+    except (MoranError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=err)
         return 1
 

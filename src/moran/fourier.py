@@ -15,8 +15,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import HorizonError, PrecisionError
-from .system import (CONVERGENT, DigitLevel, MoranSystem, PeriodicTail,
-                     check_convergence, periodic_tail_series)
+from .system import DigitLevel, MoranSystem, PeriodicTail
 
 # conservative per-factor rounding allowance for the Dirichlet-kernel float
 FACTOR_EPS = 2.0 ** -48
@@ -40,8 +39,6 @@ class MeasureWindow:
             if not isinstance(self.system.tail, PeriodicTail):
                 raise HorizonError(
                     "infinite windows require a periodic tail")
-            if check_convergence(self.system).verdict != CONVERGENT:
-                raise ValueError("infinite window over a divergent system")
         else:
             if self.last < self.first:
                 raise ValueError("window requires first <= last")
@@ -67,20 +64,33 @@ class TransformValue:
     exact_zero: bool
 
 
-def sin_pi(x: Fraction) -> float:
-    """sin(pi * x) with exact argument reduction into [0, 1/2].
+def dirichlet(n: int, r: int, den: int) -> float:
+    """Dirichlet kernel sin(pi n t) / (n sin(pi t)) at t = r/den, 0 < r < den.
 
-    math.sin(math.pi * float(x)) loses relative accuracy catastrophically
-    near integer x (the rounded product pi*x misses the true zero); exact
-    mirror reduction keeps the relative error at a few ulps everywhere.
-    """
-    x = x % 2
+    Both sine arguments are reduced exactly on integers (sign from n r mod
+    2 den, then a mirror into [0, den/2]) before one correctly rounded
+    int / int: scaling r and den together leaves the result unchanged, and
+    near integer t it keeps the accuracy math.sin(math.pi * t) loses."""
+    m = n * r % (2 * den)
     sign = 1.0
-    if x >= 1:
-        sign, x = -1.0, x - 1
-    if 2 * x > 1:
-        x = 1 - x
-    return sign * math.sin(math.pi * float(x))
+    if m >= den:
+        sign, m = -1.0, m - den
+    if 2 * m > den:
+        m = den - m
+    if 2 * r > den:
+        r = den - r
+    return (sign * math.sin(math.pi * (m / den))
+            / (n * math.sin(math.pi * (r / den))))
+
+
+def _factor(n: int, num: int, den: int) -> Optional[complex]:
+    """Factor (1/n) sum_j exp(-2 pi i j t) at t = num/den; None if exactly 0."""
+    r = num % den  # exact t mod 1
+    if r == 0:
+        return complex(1.0)
+    if n * r % den == 0:
+        return None
+    return cmath.exp(-1j * math.pi * (n - 1) * (r / den)) * dirichlet(n, r, den)
 
 
 def factor_transform(level: DigitLevel, B: int, xi: Fraction) -> TransformValue:
@@ -89,53 +99,49 @@ def factor_transform(level: DigitLevel, B: int, xi: Fraction) -> TransformValue:
     Dirichlet-kernel form (1/N) sum_j exp(-2 pi i j a xi / B); the argument
     is reduced mod 1 exactly before any float enters.
     """
-    n = level.count
-    t = Fraction(level.scale) * xi / B
-    z = n * t
-    if z.denominator == 1 and z.numerator % n != 0:
+    num, den = level.scale * xi.numerator, xi.denominator * B
+    value = _factor(level.count, num, den)
+    if value is None:
         return TransformValue(complex(0.0), 0.0, True)
-    tau = t - (t.numerator // t.denominator)  # exact t mod 1
-    if tau == 0:
-        return TransformValue(complex(1.0), 0.0, False)
-    mag = sin_pi(n * tau) / (n * sin_pi(tau))
-    value = cmath.exp(-1j * math.pi * (n - 1) * float(tau)) * mag
-    return TransformValue(value, FACTOR_EPS, False)
+    return TransformValue(value, FACTOR_EPS if num % den else 0.0, False)
 
 
 def zero_stratum(window: MeasureWindow, lam: Fraction) -> Optional[ZeroStratumHit]:
     """Smallest level k in the window whose zero stratum contains lam."""
     if lam == 0:
         raise ValueError("0 is never in a zero set (mu_hat(0) = 1)")
-    system = window.system
-    p = system.prefix_length
-    if window.last is None:
+    system, last = window.system, window.last
+    p, q = lam.numerator, lam.denominator
+    if last is None:
         # cutoff: once B_k / (a_k N_k) > |lam| for every later level
-        max_an = max(l.scale * l.count for l in system.tail.levels)
-        bound = abs(lam) * max_an
-    b = system.level_product(window.first - 1)
+        bound = abs(p) * max(l.scale * l.count for l in system.tail.levels)
     k = window.first
-    while True:
-        if window.last is not None and k > window.last:
-            return None
+    while last is None or k <= last:
         lev = system.level(k)
-        b *= lev.base
-        if window.last is None and k > p and b > bound:
+        den = q * system.level_product(k)
+        if last is None and k > system.prefix_length and den > bound:
             return None
-        t = lam * lev.scale * lev.count / b
-        if t.denominator == 1 and t.numerator % lev.count != 0:
-            return ZeroStratumHit(k, t.numerator)
+        num = p * lev.scale * lev.count  # lam a_k N_k / B_k = num / den
+        if num % den == 0 and num // den % lev.count:
+            return ZeroStratumHit(k, num // den)
         k += 1
+    return None
 
 
 def _truncation_cutoff(window: MeasureWindow, xi: Fraction, eps: float) -> int:
     """Smallest n with an exact tail bound sum_{k>n} pi (N_k-1) a_k |xi| / B_k < eps.
 
-    Uses the factor Lipschitz bound |factor(t) - 1| <= pi (N-1) |t|.
+    Uses the factor Lipschitz bound |factor(t) - 1| <= pi (N-1) |t|.  The
+    tail sum is tail_constant(n) / B_n, so each step is one comparison of
+    integers with every denominator cleared.
     """
-    weight = lambda lev: (lev.count - 1) * lev.scale
+    system = window.system
     eps_q = Fraction(eps)  # exact binary value of the float
+    lhs = PI_UPPER.numerator * abs(xi.numerator) * eps_q.denominator
+    rhs = eps_q.numerator * PI_UPPER.denominator * xi.denominator
     n = window.first - 1
-    while PI_UPPER * abs(xi) * periodic_tail_series(window.system, n, weight) >= eps_q:
+    while (lhs * (tail := system.tail_constant(n)).numerator
+           >= rhs * tail.denominator * system.level_product(n)):
         n += 1
     return n
 
@@ -150,16 +156,15 @@ def evaluate_transform(window: MeasureWindow, xi: Fraction,
     system = window.system
     if window.last is not None:
         value = complex(1.0)
-        count = 0
-        b = system.level_product(window.first - 1)
+        p, q = xi.numerator, xi.denominator
         for k in range(window.first, window.last + 1):
             lev = system.level(k)
-            b *= lev.base
-            factor = factor_transform(lev, b, xi)
-            if factor.exact_zero:
+            factor = _factor(lev.count, lev.scale * p,
+                             q * system.level_product(k))
+            if factor is None:
                 return TransformValue(complex(0.0), 0.0, True)
-            value *= factor.value
-            count += 1
+            value *= factor
+        count = window.last - window.first + 1
         return TransformValue(value, count * FACTOR_EPS, False)
 
     if xi == 0:

@@ -8,12 +8,14 @@ All set arithmetic is exact over Fraction; floats appear only in Q values.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional
 
 from .errors import BudgetError, InvariantError, NotSpectralError, ParseError
-from .fourier import MeasureWindow, evaluate_transform, zero_stratum
+from .fourier import (MeasureWindow, dirichlet, evaluate_transform,
+                      zero_stratum)
 from .system import (FormulaTail, MoranSystem, PeriodicTail, format_rational,
                      parse_rational)
 
@@ -52,7 +54,9 @@ class CandidateSet:
         return len(self.elements)
 
     def __contains__(self, value) -> bool:
-        return Fraction(value) in set(self.elements)
+        value = Fraction(value)
+        i = bisect_left(self.elements, value)
+        return i < len(self.elements) and self.elements[i] == value
 
 
 def parse_candidates(text: str) -> CandidateSet:
@@ -352,45 +356,34 @@ def verify_decomposition(result: DecompositionResult) -> DecompositionReport:
 # Q functional
 
 
-def _finite_factors(window: MeasureWindow) -> list[tuple[int, int, int]]:
+def _finite_q(window: MeasureWindow, cs: CandidateSet, den: int,
+              nums: range) -> Iterator[float]:
+    """Q(x / den) of a finite window for each x in nums, where den is a
+    multiple of every candidate denominator: each argument x/den + lambda
+    is one integer numerator until the Dirichlet kernel."""
     system = window.system
-    out = []
-    b = system.level_product(window.first - 1)
-    for kk in range(window.first, window.last + 1):
-        lev = system.level(kk)
-        b *= lev.base
-        out.append((lev.scale, lev.count, b))
-    return out
-
-
-def _abs_sin_pi(num: int, den: int) -> float:
-    """|sin(pi * num / den)| with exact integer reduction into [0, den/2]."""
-    r = num % den
-    if 2 * r > den:
-        r = den - r
-    return math.sin(math.pi * (r / den))
-
-
-def _abs2_transform(factors: list[tuple[int, int, int]], y: Fraction) -> float:
-    """|mu_hat(y)|^2 of a finite window; argument reduction stays exact."""
-    p, q = y.numerator, y.denominator
-    acc = 1.0
-    for a, n, b in factors:
-        den = q * b
-        r = (a * p) % den
-        if r == 0:
-            continue
-        v = _abs_sin_pi(n * r, den) / (n * _abs_sin_pi(r, den))
-        acc *= v * v
-    return acc
+    factors = [(system.level(k).scale, system.level(k).count,
+                den * system.level_product(k))
+               for k in range(window.first, window.last + 1)]
+    lams = [lam.numerator * (den // lam.denominator) for lam in cs]
+    for x in nums:
+        total = 0
+        for lam in lams:
+            y, acc = x + lam, 1.0
+            for a, n, d in factors:
+                r = a * y % d
+                if r:
+                    v = dirichlet(n, r, d)
+                    acc *= v * v
+            total += acc
+        yield total
 
 
 def q_function(window: MeasureWindow, cs: CandidateSet, xi: Fraction,
                eps: float = 1e-9) -> float:
     """Q(xi) = sum over the candidate set of |mu_hat(xi + lambda)|^2."""
     if window.last is not None:
-        factors = _finite_factors(window)
-        return sum(_abs2_transform(factors, xi + lam) for lam in cs)
+        return q_grid(window, cs, xi, xi, Fraction(1))[0][1]
     return sum(abs(evaluate_transform(window, xi + lam, eps).value) ** 2
                for lam in cs)
 
@@ -401,19 +394,18 @@ def q_grid(window: MeasureWindow, cs: CandidateSet, start: Fraction,
     """Q samples at start, start+step, ..., up to and including stop."""
     if step <= 0:
         raise ValueError("step must be positive")
-    samples = []
-    xi = Fraction(start)
-    if window.last is not None:
-        factors = _finite_factors(window)
-        while xi <= stop:
-            q = sum(_abs2_transform(factors, xi + lam) for lam in cs)
-            samples.append((xi, q))
-            xi += step
-    else:
-        while xi <= stop:
-            samples.append((xi, q_function(window, cs, xi, eps)))
-            xi += step
-    return samples
+    start, step = Fraction(start), Fraction(step)
+    # xi, the step and every lambda over one common denominator
+    den = math.lcm(start.denominator, step.denominator,
+                   *(lam.denominator for lam in cs))
+    first = start.numerator * (den // start.denominator)
+    stride = step.numerator * (den // step.denominator)
+    count = (Fraction(stop) - start) // step + 1
+    nums = range(first, first + count * stride, stride)
+    xis = [Fraction(x, den) for x in nums]
+    if window.last is None:
+        return [(xi, q_function(window, cs, xi, eps)) for xi in xis]
+    return list(zip(xis, _finite_q(window, cs, den, nums)))
 
 
 # ---------------------------------------------------------------------------

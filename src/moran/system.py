@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Callable, Iterator, Optional, Union
 
@@ -115,6 +116,8 @@ class MoranSystem:
         # tiling complements of N_j = b_j systems degenerate to Diracs
         if self.tail is not None and not self._has_nontrivial_level():
             raise ValueError("at least one level must have count >= 2")
+        # level table B_0, B_1, ...: extended on demand by level_product
+        object.__setattr__(self, "_products", [1])
 
     def _has_nontrivial_level(self) -> bool:
         if any(lev.count >= 2 for lev in self.prefix):
@@ -151,10 +154,29 @@ class MoranSystem:
 
     def level_product(self, n: int) -> int:
         """B_n = b_1 * ... * b_n, exactly (B_0 = 1)."""
-        b = 1
-        for k in range(1, n + 1):
-            b *= self.level(k).base
-        return b
+        table = self._products
+        if len(table) <= n:
+            # publish an extended copy: no reader sees a half-built table
+            table = table[:]
+            while len(table) <= n:
+                table.append(table[-1] * self.level(len(table)).base)
+            object.__setattr__(self, "_products", table)
+        return table[n] if n >= 0 else 1
+
+    @cached_property
+    def _tail_constants(self) -> list[Fraction]:
+        # T_0, then T_k = b_k T_{k-1} - (N_k - 1) a_k up to one full period
+        out = [periodic_tail_series(self, lambda l: (l.count - 1) * l.scale)]
+        for k in range(1, len(self.prefix) + len(self.tail.levels)):
+            lev = self.level(k)
+            out.append(lev.base * out[-1] - (lev.count - 1) * lev.scale)
+        return out
+
+    def tail_constant(self, n: int) -> Fraction:
+        """T_n = B_n * sum_{k>n} (N_k - 1) a_k / B_k, exactly (periodic tails);
+        past the prefix end p it depends only on the phase (n - p) mod period."""
+        p, tails = len(self.prefix), self._tail_constants
+        return tails[n if n < p else p + (n - p) % (len(tails) - p)]
 
 
 @dataclass(frozen=True)
@@ -174,42 +196,24 @@ class SupportInfo:
 
 def _prefix_series(system: MoranSystem, upto: int,
                    numer: Callable[[DigitLevel], int]) -> Fraction:
-    total = Fraction(0)
-    b = 1
-    for k in range(1, upto + 1):
-        lev = system.level(k)
-        b *= lev.base
-        total += Fraction(numer(lev), b)
-    return total
+    return sum((Fraction(numer(system.level(k)), system.level_product(k))
+                for k in range(1, upto + 1)), Fraction(0))
 
 
-def periodic_tail_series(system: MoranSystem, after: int,
+def periodic_tail_series(system: MoranSystem,
                          numer: Callable[[DigitLevel], int]) -> Fraction:
-    """Exact sum over k > after of numer(level_k) / B_k for periodic tails.
+    """Exact sum over k >= 1 of numer(level_k) / B_k for periodic tails.
 
-    Valid for any after >= 0; the stretch up to the prefix end is summed
-    explicitly and the periodic remainder is a geometric block sum.
+    The prefix is summed explicitly and the periodic remainder is a
+    geometric block sum.
     """
     if not isinstance(system.tail, PeriodicTail):
         raise HorizonError("closed-form tail series requires a periodic tail")
-    p = len(system.prefix)
-    start = max(after, p)
-    total = Fraction(0)
-    b = system.level_product(after)
-    for k in range(after + 1, start + 1):
-        lev = system.level(k)
-        b *= lev.base
-        total += Fraction(numer(lev), b)
-    # one full period starting at `start`; later blocks shrink by 1/P
-    block = Fraction(0)
-    b = system.level_product(start)
-    period = 1
-    for j, _ in enumerate(system.tail.levels):
-        lev = system.level(start + 1 + j)
-        b *= lev.base
-        period *= lev.base
-        block += Fraction(numer(lev), b)
-    return total + block * Fraction(period, period - 1)
+    p, period = len(system.prefix), len(system.tail.levels)
+    head = _prefix_series(system, p, numer)
+    block = _prefix_series(system, p + period, numer) - head
+    ratio = system.level_product(p + period) // system.level_product(p)
+    return head + block * Fraction(ratio, ratio - 1)
 
 
 def check_convergence(system: MoranSystem) -> ConvergenceReport:
@@ -221,7 +225,7 @@ def check_convergence(system: MoranSystem) -> ConvergenceReport:
             CONVERGENT, total, FINITE_PREFIX,
             note="finite prefix only; the infinite model is unspecified")
     if isinstance(tail, PeriodicTail):
-        total = periodic_tail_series(system, 0, lambda l: l.count)
+        total = periodic_tail_series(system, lambda l: l.count)
         return ConvergenceReport(CONVERGENT, total, GEOMETRIC_RATIO)
     # formula tail: N_n = max(2, round(c * rho**n)), constant base b
     p = len(system.prefix)
@@ -246,7 +250,7 @@ def support_info(system: MoranSystem, n: Optional[int]) -> SupportInfo:
     if n is None:
         if not isinstance(system.tail, PeriodicTail):
             raise HorizonError("infinite support requires a periodic tail")
-        diameter = periodic_tail_series(system, 0, weight)
+        diameter = periodic_tail_series(system, weight)
         return SupportInfo(diameter, Fraction(0), Fraction(0))
     diameter = _prefix_series(system, n, weight)
     resolution = Fraction(system.level(n).scale, system.level_product(n))

@@ -76,3 +76,106 @@ def poly_multiply(a, b):
         for j, y in enumerate(b):
             out[i + j] += x * y
     return out
+
+
+# ---------------------------------------------------------------------------
+# Fraction-based references for the integer kernels.  Each one recomputes
+# B_k by its own running product from system.level(k), never from the
+# library's level table.
+
+
+def running_products(system, upto):
+    """[B_0, B_1, ..., B_upto] by a running product of the bases."""
+    out = [1]
+    for k in range(1, upto + 1):
+        out.append(out[-1] * system.level(k).base)
+    return out
+
+
+def zero_stratum_reference(window, lam):
+    """(level, multiplier) of the first zero stratum holding lam, or None.
+
+    Per level, lam * a_k * N_k / B_k is formed as a Fraction and tested for
+    being an integer outside N_k Z.
+    """
+    system = window.system
+    if window.last is None:
+        max_an = max(l.scale * l.count for l in system.tail.levels)
+        bound = abs(lam) * max_an
+    b = running_products(system, window.first - 1)[-1]
+    k = window.first
+    while True:
+        if window.last is not None and k > window.last:
+            return None
+        lev = system.level(k)
+        b *= lev.base
+        if window.last is None and k > system.prefix_length and b > bound:
+            return None
+        t = lam * lev.scale * lev.count / b
+        if t.denominator == 1 and t.numerator % lev.count != 0:
+            return k, t.numerator
+        k += 1
+
+
+def tail_series_reference(system, after):
+    """Exact sum over k > after of (N_k - 1) a_k / B_k for a periodic tail:
+    explicit terms up to the prefix end, then one geometric block."""
+    weight = lambda lev: (lev.count - 1) * lev.scale
+    p, block_len = system.prefix_length, len(system.tail.levels)
+    start = max(after, p)
+    b = running_products(system, start + block_len)
+    total = sum((Fraction(weight(system.level(k)), b[k])
+                 for k in range(after + 1, start + 1)), Fraction(0))
+    block = sum((Fraction(weight(system.level(k)), b[k])
+                 for k in range(start + 1, start + block_len + 1)),
+                Fraction(0))
+    period = b[start + block_len] // b[start]
+    return total + block * Fraction(period, period - 1)
+
+
+def truncation_cutoff_reference(window, xi, eps):
+    """Smallest n >= first - 1 with (355/113) |xi| sum_{k>n} ... < eps,
+    re-summing the tail series at every step (quadratic in n)."""
+    eps_q = Fraction(eps)
+    n = window.first - 1
+    while Fraction(355, 113) * abs(xi) * tail_series_reference(
+            window.system, n) >= eps_q:
+        n += 1
+    return n
+
+
+def _abs_sin_pi(num, den):
+    r = num % den
+    if 2 * r > den:
+        r = den - r
+    return math.sin(math.pi * (r / den))
+
+
+def abs2_transform_reference(window, y):
+    """|mu_hat(y)|^2 of a finite window, with y = p/q in lowest terms and
+    each factor's argument a p / (q B_k) reduced exactly before the float."""
+    system = window.system
+    b = running_products(system, window.last)
+    p, q = y.numerator, y.denominator
+    acc = 1.0
+    for k in range(window.first, window.last + 1):
+        lev = system.level(k)
+        den = q * b[k]
+        r = (lev.scale * p) % den
+        if r == 0:
+            continue
+        v = _abs_sin_pi(lev.count * r, den) / (lev.count * _abs_sin_pi(r, den))
+        acc *= v * v
+    return acc
+
+
+def q_grid_reference(window, cs, start, stop, step):
+    """Q samples of a finite window by Fraction stepping from start."""
+    samples = []
+    xi = Fraction(start)
+    while xi <= stop:
+        samples.append(
+            (xi, sum(abs2_transform_reference(window, xi + lam)
+                     for lam in cs)))
+        xi += step
+    return samples

@@ -1,0 +1,187 @@
+"""The integer kernels against independent references.
+
+The Dirichlet kernel is checked against a 50-digit mpmath exponential sum;
+the truncation cutoff, the zero-stratum test and Q grids are checked
+against the Fraction-based references in oracles.py, with exact equality.
+"""
+
+import json
+from fractions import Fraction as F
+
+import mpmath
+from hypothesis import assume, given, settings, strategies as st
+
+import oracles
+from moran.fourier import (FACTOR_EPS, PI_UPPER, MeasureWindow, ZeroStratumHit,
+                           _truncation_cutoff, dirichlet, zero_stratum)
+from moran.spectra import CandidateSet, q_function, q_grid
+from moran.system import parse_system
+
+
+def _levels(draw, size):
+    return {"b": draw(st.lists(st.integers(2, 12), min_size=size,
+                               max_size=size)),
+            "N": draw(st.lists(st.integers(1, 12), min_size=size,
+                               max_size=size)),
+            "scale": draw(st.lists(st.sampled_from([1, 1, 2, 3, 5]),
+                                   min_size=size, max_size=size))}
+
+
+@st.composite
+def scaled_periodic_systems(draw):
+    prefix = _levels(draw, draw(st.integers(0, 3)))
+    tail = _levels(draw, draw(st.integers(1, 3)))
+    if all(n == 1 for n in prefix["N"] + tail["N"]):
+        tail["N"][0] = 2
+    return parse_system(json.dumps(
+        {"prefix": prefix, "tail": {"kind": "periodic", **tail}}))
+
+
+@st.composite
+def scaled_finite_systems(draw, max_depth=4):
+    prefix = _levels(draw, draw(st.integers(1, max_depth)))
+    return parse_system(json.dumps(
+        {"prefix": prefix, "tail": {"kind": "none"}}))
+
+
+def rationals(max_num):
+    return st.builds(F, st.integers(-max_num, max_num),
+                     st.sampled_from([1, 2, 3, 7, 12, 1000, 999_983]))
+
+
+# ---------------------------------------------------------------------------
+# Dirichlet kernel
+
+
+@st.composite
+def kernel_arguments(draw):
+    n = draw(st.integers(1, 64))
+    den = draw(st.one_of(st.integers(2, 10_000),
+                         st.integers(10 ** 30, 10 ** 32)))
+    r = draw(st.one_of(st.sampled_from([1, den - 1, den // 2 - 1,
+                                        den // 2 + 1]),
+                       st.integers(1, den - 1)))
+    assume(0 < r < den)
+    return n, r, den
+
+
+def _mp_kernel(n, r, den):
+    """Real signed magnitude of (1/N) sum_j e^{-2 pi i j t}, 50 digits."""
+    with mpmath.workdps(50):
+        t = mpmath.mpf(r) / den
+        total = mpmath.fsum(mpmath.expj(-2 * mpmath.pi * j * t)
+                            for j in range(n)) / n
+        # undo the phase e^{-pi i (N-1) t}; what remains is real
+        value = total * mpmath.expj(mpmath.pi * (n - 1) * t)
+        assert abs(value.imag) < mpmath.mpf(10) ** -40
+        return value.real
+
+
+@given(kernel_arguments())
+@settings(max_examples=300, deadline=None)
+def test_kernel_within_factor_eps_of_mpmath(args):
+    n, r, den = args
+    error = abs(mpmath.mpf(dirichlet(n, r, den)) - _mp_kernel(n, r, den))
+    assert error <= FACTOR_EPS
+
+
+@given(kernel_arguments(), st.integers(2, 10 ** 30))
+@settings(max_examples=200, deadline=None)
+def test_kernel_invariant_under_common_scaling(args, g):
+    # int / int is correctly rounded, so g r / (g den) gives r / den's float
+    n, r, den = args
+    assert dirichlet(n, g * r, g * den) == dirichlet(n, r, den)
+
+
+# ---------------------------------------------------------------------------
+# truncation cutoff
+
+
+@given(scaled_periodic_systems(), st.integers(1, 3), rationals(10 ** 15),
+       st.floats(1e-12, 1e-3))
+@settings(max_examples=150, deadline=None)
+def test_cutoff_matches_quadratic_reference(sys_, first, xi, eps):
+    assume(xi != 0)
+    window = MeasureWindow(sys_, first)
+    assert _truncation_cutoff(window, xi, eps) == \
+        oracles.truncation_cutoff_reference(window, xi, eps)
+
+
+@given(scaled_periodic_systems(), st.integers(0, 2), st.integers(0, 2),
+       st.floats(1e-12, 1e-3), st.sampled_from([-1, 0, 1]))
+@settings(max_examples=150, deadline=None)
+def test_cutoff_tight_at_phase_boundary(sys_, blocks, phase, eps, nudge):
+    # choose xi so that the tail bound at n equals eps exactly (nudge 0):
+    # the strict < must fail there; nudge -1/+1 moves xi by 1 part in 10^30
+    period = len(sys_.tail.levels)
+    n = sys_.prefix_length + blocks * period + phase % period
+    tail = oracles.tail_series_reference(sys_, n)
+    assume(tail != 0)
+    xi = F(eps) / (PI_UPPER * tail) * (1 + F(nudge, 10 ** 30))
+    window = MeasureWindow(sys_, 1)
+    got = _truncation_cutoff(window, xi, eps)
+    assert got == oracles.truncation_cutoff_reference(window, xi, eps)
+    assert (got > n) == (nudge >= 0)
+
+
+# ---------------------------------------------------------------------------
+# zero strata
+
+
+@st.composite
+def stratum_lambdas(draw, sys_):
+    """Random rationals, half of them on some level's stratum lattice."""
+    if draw(st.booleans()):
+        lam = draw(rationals(10 ** 15))
+    else:
+        k = draw(st.integers(1, sys_.horizon or sys_.prefix_length + 4))
+        lev = sys_.level(k)
+        step = F(oracles.running_products(sys_, k)[-1], lev.scale * lev.count)
+        lam = step * draw(st.integers(-50, 50))
+    assume(lam != 0)
+    return lam
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_zero_stratum_matches_fraction_reference(data):
+    sys_ = data.draw(st.one_of(scaled_periodic_systems(),
+                               scaled_finite_systems()))
+    lam = data.draw(stratum_lambdas(sys_))
+    if sys_.tail is None:
+        first = data.draw(st.integers(1, sys_.prefix_length))
+        window = MeasureWindow(sys_, first, sys_.prefix_length)
+    else:
+        window = MeasureWindow(sys_, data.draw(st.integers(1, 3)))
+    want = oracles.zero_stratum_reference(window, lam)
+    got = zero_stratum(window, lam)
+    assert got == (None if want is None else ZeroStratumHit(*want))
+
+
+# ---------------------------------------------------------------------------
+# Q grids
+
+
+@given(scaled_finite_systems(), st.lists(rationals(60), max_size=8),
+       rationals(10 ** 12), st.integers(1, 50), st.integers(1, 400),
+       st.integers(-2, 30))
+@settings(max_examples=100, deadline=None)
+def test_q_grid_equals_reference(sys_, lams, start, step_num, step_den,
+                                 steps):
+    window = MeasureWindow(sys_, 1, sys_.prefix_length)
+    cs = CandidateSet.of([0] + lams)
+    step = F(step_num, step_den)
+    stop = start + steps * step
+    want = oracles.q_grid_reference(window, cs, start, stop, step)
+    assert q_grid(window, cs, start, stop, step) == want
+    assert q_function(window, cs, start) == \
+        sum(oracles.abs2_transform_reference(window, start + lam)
+            for lam in cs)
+
+
+@given(st.lists(rationals(10 ** 6), max_size=12), rationals(10 ** 6))
+@settings(max_examples=100, deadline=None)
+def test_candidate_membership_matches_set(values, probe):
+    cs = CandidateSet.of(values)
+    for x in values + [probe]:
+        assert (x in cs) == (x in set(cs.elements))

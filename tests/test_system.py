@@ -1,4 +1,6 @@
 import json
+import sys
+import threading
 from fractions import Fraction as F
 
 import pytest
@@ -83,6 +85,47 @@ def test_level_product_matches_running_product():
     assert QUARTER.level_product(2) == 16
     assert MIXED.level_product(2) == 24
     assert QUARTER.level_product(0) == 1 
+
+
+def test_level_table_leaves_identity_alone():
+    # the table is per instance: filling one copy changes neither equality,
+    # hashing nor the other copy's table
+    text = serialize_system(QUARTER)
+    a, b = parse_system(text), parse_system(text)
+    assert a.level_product(40) == 4 ** 40
+    assert a.tail_constant(41) == F(1, 3)      # sum_{j>=1} 4^-j
+    assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+    assert b._products == [1] and "_tail_constants" not in vars(b)
+
+
+def test_level_table_shared_between_threads():
+    # threads extending one system's table at once must all read the exact
+    # products; a lost or doubled append would shift every later B_k.  A
+    # formula tail makes level() slow, which widens any race window.
+    prefix, tail = (DigitLevel(2, 2),), FormulaTail(3, F(1), F(3, 2))
+    want = [MoranSystem(prefix, tail).level_product(n) for n in range(60)]
+    errors = []
+
+    def worker(sys_, barrier):
+        barrier.wait()
+        errors.extend(n for n in range(len(want))
+                      if sys_.level_product(n) != want[n])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(400):
+            args = (MoranSystem(prefix, tail), threading.Barrier(4))
+            threads = [threading.Thread(target=worker, args=args)
+                       for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=10)
+            assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert errors == []
 
 
 def test_periodic_levels_repeat():
