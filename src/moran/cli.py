@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 = verdict computed (even NotSpectral/NotTile), 1 = input
-error, 2 = resource bound hit (Unknown verdict or budget).  All rationals
+error, 2 = resource bound hit (Unknown verdict or budget), 3 = internal
+invariant breach (a bug, reported as 'internal: ...').  All rationals
 print as p/q; floats print as shortest round-trip decimals; CSV uses ','
 and '\\n'.
 """
@@ -15,7 +16,8 @@ from fractions import Fraction
 from typing import Optional, Sequence, TextIO
 
 from . import fuglede, spectra, system, tiling
-from .errors import BudgetError, MoranError, NotSpectralError, ParseError
+from .errors import (BudgetError, InvariantError, MoranError,
+                     NotSpectralError, ParseError)
 from .fourier import MeasureWindow
 from .system import format_rational, parse_rational
 
@@ -124,11 +126,7 @@ def _cmd_analyze(args, out: TextIO) -> int:
 
 def _cmd_spectrum(args, out: TextIO) -> int:
     sys_ = _load_system(args.system)
-    try:
-        cs = spectra.canonical_spectrum(sys_, args.level)
-    except NotSpectralError as exc:
-        print(f"NOTSPECTRAL level={exc.level}", file=out)
-        return 0
+    cs = spectra.canonical_spectrum(sys_, args.level)
     out.write(spectra.format_candidates(cs))
     return 0
 
@@ -202,11 +200,7 @@ def _cmd_tile(args, out: TextIO) -> int:
 
 def _cmd_complement(args, out: TextIO) -> int:
     sys_ = _load_system(args.system)
-    try:
-        complement, cert = tiling.canonical_complement(sys_, args.level)
-    except NotSpectralError as exc:
-        print(f"NOTSPECTRAL level={exc.level}", file=out)
-        return 0
+    complement, cert = tiling.canonical_complement(sys_, args.level)
     print(system.serialize_system(complement), file=out)
     print(f"L: {cert.length}", file=out)
     print(f"verified: {'true' if cert.verified else 'false'}", file=out)
@@ -290,9 +284,15 @@ def run(argv: Sequence[str], out: Optional[TextIO] = None,
         return 1
     try:
         return _HANDLERS[args.command](args, out)
+    except NotSpectralError as exc:  # a verdict (spectrum, complement)
+        print(f"NOTSPECTRAL level={exc.level}", file=out)
+        return 0
     except BudgetError as exc:
         print(f"budget exceeded: {exc}", file=err)
         return 2
+    except InvariantError as exc:
+        print(f"internal: {exc}", file=err)
+        return 3
     except (MoranError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=err)
         return 1

@@ -12,7 +12,8 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from itertools import count
+from typing import Callable, Optional
 
 from .errors import HorizonError, PrecisionError
 from .system import DigitLevel, MoranSystem, PeriodicTail
@@ -106,26 +107,69 @@ def factor_transform(level: DigitLevel, B: int, xi: Fraction) -> TransformValue:
     return TransformValue(value, FACTOR_EPS if num % den else 0.0, False)
 
 
+def _multiplier(num: int, den: int, n: int) -> int:
+    """The stratum rule: num/den = lam a_k N_k / B_k if that is an integer
+    outside n Z (n = N_k), else 0."""
+    if num % den:
+        return 0
+    m = num // den
+    return m if m % n else 0
+
+
 def zero_stratum(window: MeasureWindow, lam: Fraction) -> Optional[ZeroStratumHit]:
     """Smallest level k in the window whose zero stratum contains lam."""
-    if lam == 0:
-        raise ValueError("0 is never in a zero set (mu_hat(0) = 1)")
-    system, last = window.system, window.last
+    system, first, last = window.system, window.first, window.last
     p, q = lam.numerator, lam.denominator
+    if not p:
+        raise ValueError("0 is never in a zero set (mu_hat(0) = 1)")
     if last is None:
         # cutoff: once B_k / (a_k N_k) > |lam| for every later level
         bound = abs(p) * max(l.scale * l.count for l in system.tail.levels)
-    k = window.first
-    while last is None or k <= last:
+        prefix, levels = system.prefix_length, count(first)
+    else:
+        levels = range(first, last + 1)
+    # q B_k as a running product; B_0 = 1 needs no table lookup
+    den = q * system.level_product(first - 1) if first > 1 else q
+    for k in levels:
         lev = system.level(k)
-        den = q * system.level_product(k)
-        if last is None and k > system.prefix_length and den > bound:
+        den *= lev.base
+        if last is None and k > prefix and den > bound:
             return None
-        num = p * lev.scale * lev.count  # lam a_k N_k / B_k = num / den
-        if num % den == 0 and num // den % lev.count:
-            return ZeroStratumHit(k, num // den)
-        k += 1
+        m = _multiplier(p * lev.scale * lev.count, den, lev.count)
+        if m:
+            return ZeroStratumHit(k, m)
     return None
+
+
+def zero_set(window: MeasureWindow, den: int) -> Callable[[int], bool]:
+    """Test d -> (d/den is in the window's zero set) on integers d.
+
+    A finite window fixes its levels' (den B_k, a_k N_k, N_k) once; an
+    infinite one asks zero_stratum.  The zero set is symmetric and never
+    holds 0: answers are kept by |d| while the returned function lives."""
+    system, memo = window.system, {0: False}
+    levels = None if window.last is None else [
+        (den * system.level_product(k), lev.scale * lev.count, lev.count)
+        for k, lev in enumerate(system.levels(window.first, window.last),
+                                window.first)]
+
+    def in_zero_set(d: int) -> bool:
+        d = abs(d)
+        hit = memo.get(d)
+        if hit is None:
+            if levels is None:
+                hit = zero_stratum(window, Fraction(d, den)) is not None
+            else:
+                for big, an, n in levels:
+                    if _multiplier(d * an, big, n):
+                        hit = True
+                        break
+                else:
+                    hit = False
+            memo[d] = hit
+        return hit
+
+    return in_zero_set
 
 
 def _truncation_cutoff(window: MeasureWindow, xi: Fraction, eps: float) -> int:

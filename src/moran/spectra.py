@@ -2,7 +2,8 @@
 decompositions, the Jorgensen-Pedersen completeness functional, and a
 brute-force clique oracle for spectrum existence.
 
-All set arithmetic is exact over Fraction; floats appear only in Q values.
+All set arithmetic is exact (zero-set tests run on integer numerators over
+one common denominator); floats appear only in Q values.
 """
 
 from __future__ import annotations
@@ -15,9 +16,10 @@ from typing import Iterable, Iterator, Optional
 
 from .errors import BudgetError, InvariantError, NotSpectralError, ParseError
 from .fourier import (MeasureWindow, dirichlet, evaluate_transform,
-                      zero_stratum)
-from .system import (FormulaTail, MoranSystem, PeriodicTail, format_rational,
-                     parse_rational)
+                      zero_set, zero_stratum)
+from .system import (FormulaTail, MoranSystem, PeriodicTail,
+                     digit_progressions, first_nondividing_level,
+                     format_rational, parse_rational, sumset_counts)
 
 SPECTRUM = "Spectrum"
 BIZERO_ONLY = "BiZeroOnly"
@@ -81,21 +83,16 @@ def window_atoms(window: MeasureWindow) -> tuple[int, bool]:
     """(number of distinct atoms, collision flag) of a finite window."""
     if window.last is None:
         raise ValueError("atom counting needs a finite window")
-    system = window.system
-    b_last = system.level_product(window.last)
-    sums = {0: 1}
-    for k in range(window.first, window.last + 1):
-        lev = system.level(k)
-        step = lev.scale * (b_last // system.level_product(k))
-        new: dict[int, int] = {}
-        for v, mult in sums.items():
-            for d in range(lev.count):
-                key = v + d * step
-                new[key] = new.get(key, 0) + mult
-        sums = new
-    distinct = len(sums)
-    total = sum(sums.values())
-    return distinct, total != distinct
+    sums = sumset_counts(
+        digit_progressions(window.system, window.first, window.last))
+    return len(sums), sum(sums.values()) != len(sums)
+
+
+def _integers(*sets: Iterable[Fraction]) -> tuple[int, list[list[int]]]:
+    """(den, nums): den = lcm of all denominators, nums[i] = set i over den."""
+    den = math.lcm(*(x.denominator for s in sets for x in s))
+    return den, [[x.numerator * (den // x.denominator) for x in s]
+                 for s in sets]
 
 
 def is_bizero(window: MeasureWindow, cs: CandidateSet
@@ -104,11 +101,12 @@ def is_bizero(window: MeasureWindow, cs: CandidateSet
 
     On failure returns the lexicographically first violating pair.
     """
-    elems = cs.elements
-    for i in range(len(elems)):
-        for j in range(i + 1, len(elems)):
-            if zero_stratum(window, elems[j] - elems[i]) is None:
-                return False, (elems[i], elems[j])
+    den, (nums,) = _integers(cs)
+    in_zero_set = zero_set(window, den)
+    for i, x in enumerate(nums):
+        for j in range(i + 1, len(nums)):
+            if not in_zero_set(nums[j] - x):
+                return False, (cs.elements[i], cs.elements[j])
     return True, None
 
 
@@ -148,18 +146,19 @@ def canonical_spectrum(system: MoranSystem, n: int) -> CandidateSet:
     Requires N_j | b_j for 2 <= j <= n (no condition at j = 1); the result
     is re-verified by is_spectrum before returning.
     """
-    for j in range(2, n + 1):
-        lev = system.level(j)
-        if lev.base % lev.count != 0:
-            raise NotSpectralError(j)
-    elems = [Fraction(0)]
-    for k in range(1, n + 1):
-        lev = system.level(k)
-        step = Fraction(system.level_product(k), lev.scale * lev.count)
-        elems = [e + d * step for e in elems for d in range(lev.count)]
-    cs = CandidateSet.of(elems)
-    if len(cs) != len(elems):
+    j = first_nondividing_level(system, n)
+    if j is not None:
+        raise NotSpectralError(j)
+    levels = list(system.levels(1, n))
+    den = math.lcm(*(lev.scale * lev.count for lev in levels))
+    # level k adds (B_k / (a_k N_k)) {0, ..., N_k - 1}: steps over den
+    steps = [(lev.count,
+              system.level_product(k) * den // (lev.scale * lev.count))
+             for k, lev in enumerate(levels, 1)]
+    sums = sumset_counts(range(0, count * step, step) for count, step in steps)
+    if any(mult != 1 for mult in sums.values()):
         raise InvariantError("canonical spectrum summands collide")
+    cs = CandidateSet(tuple(Fraction(x, den) for x in sorted(sums)))
     cert = is_spectrum(MeasureWindow(system, 1, n), cs)
     if cert.status != SPECTRUM:
         raise InvariantError(f"canonical spectrum failed verification: "
@@ -181,35 +180,20 @@ class SpectralVerdict:
 def truncation_spectral_verdict(system: MoranSystem,
                                 n: Optional[int]) -> SpectralVerdict:
     """Spectral iff N_j | b_j for all 2 <= j <= n (all j >= 2 for n=None)."""
-    def first_violation(last: int) -> Optional[int]:
-        for j in range(2, last + 1):
-            lev = system.level(j)
-            if lev.base % lev.count != 0:
-                return j
-        return None
-
-    if n is not None:
-        j = first_violation(n)
-        return SpectralVerdict(SPECTRAL) if j is None else \
-            SpectralVerdict(NOT_SPECTRAL, j)
-
-    p = system.prefix_length
-    if isinstance(system.tail, PeriodicTail):
-        j = first_violation(p + len(system.tail.levels))
-        return SpectralVerdict(SPECTRAL) if j is None else \
-            SpectralVerdict(NOT_SPECTRAL, j)
-    if isinstance(system.tail, FormulaTail):
-        j = first_violation(p + FORMULA_HORIZON)
-        if j is not None:
-            return SpectralVerdict(NOT_SPECTRAL, j)
-        if system.tail.rho == 1:
-            # counts are constant beyond the prefix, so the scan is a proof
-            return SpectralVerdict(SPECTRAL)
-        return SpectralVerdict(UNKNOWN_BEYOND_HORIZON)
-    # tail None: only the finite prefix exists
-    j = first_violation(p)
-    return SpectralVerdict(SPECTRAL) if j is None else \
-        SpectralVerdict(NOT_SPECTRAL, j)
+    p, tail, unknown = system.prefix_length, system.tail, False
+    if n is None:
+        if isinstance(tail, PeriodicTail):
+            n = p + len(tail.levels)
+        elif isinstance(tail, FormulaTail):
+            # counts are constant beyond the prefix when rho = 1, so only
+            # then is the scan to the horizon a proof
+            n, unknown = p + FORMULA_HORIZON, tail.rho != 1
+        else:
+            n = p  # tail None: only the finite prefix exists
+    j = first_nondividing_level(system, n)
+    if j is not None:
+        return SpectralVerdict(NOT_SPECTRAL, j)
+    return SpectralVerdict(UNKNOWN_BEYOND_HORIZON if unknown else SPECTRAL)
 
 
 def maximal_bizero_subset(window_head: MeasureWindow,
@@ -217,12 +201,13 @@ def maximal_bizero_subset(window_head: MeasureWindow,
     """Greedy ascending scan from {0}; maximal bi-zero subset of the head."""
     if Fraction(0) not in cs:
         raise ValueError("candidate set must contain 0")
-    kept: list[Fraction] = [Fraction(0)]
-    for lam in cs:
-        if lam == 0:
-            continue
-        if all(zero_stratum(window_head, lam - a) is not None for a in kept):
+    den, (nums,) = _integers(cs)
+    in_zero_set = zero_set(window_head, den)
+    kept, kept_nums = [Fraction(0)], [0]
+    for lam, x in zip(cs, nums):
+        if x and all(in_zero_set(x - a) for a in kept_nums):
             kept.append(lam)
+            kept_nums.append(x)
     return CandidateSet.of(kept)
 
 
@@ -250,13 +235,11 @@ def suitable_decomposition(system: MoranSystem, n: int, k: int,
     omega = MeasureWindow(system, k + 1, n)
     head = maximal_bizero_subset(nu, cs)
     parts: dict[Fraction, list[Fraction]] = {a: [a] for a in head}
-    for lam in cs:
-        for a in head:
-            if lam == a:
-                continue
-            diff = lam - a
-            if (zero_stratum(omega, diff) is not None
-                    and zero_stratum(nu, diff) is None):
+    den, (nums, head_nums) = _integers(cs, head)
+    in_nu, in_omega = zero_set(nu, den), zero_set(omega, den)
+    for lam, x in zip(cs, nums):
+        for a, y in zip(head, head_nums):
+            if x != y and in_omega(x - y) and not in_nu(x - y):
                 parts[a].append(lam)
     sets = {a: CandidateSet.of(vals) for a, vals in parts.items()}
     covered = sorted(x for s in sets.values() for x in s)
@@ -281,6 +264,24 @@ class DecompositionReport:
         return all(c.ok for c in self.clauses)
 
 
+def _containment_witnesses(parts, in_nu, in_omega) -> Iterator[str]:
+    """Differences breaking (Lambda_a - Lambda_a) \\ {0} in Z(omega) \\ Z(nu),
+    then cross differences outside Z(nu); parts: (a, elements, numerators)."""
+    for a, elems, nums in parts:
+        for x, p in zip(elems, nums):
+            for y, q in zip(elems, nums):
+                if p != q and (not in_omega(p - q) or in_nu(p - q)):
+                    yield (f"within Lambda[{format_rational(a)}]: "
+                           f"{format_rational(x - y)}")
+    for i, (_, elems, nums) in enumerate(parts):
+        for _, elems2, nums2 in parts[i + 1:]:
+            for x, p in zip(elems, nums):
+                for y, q in zip(elems2, nums2):
+                    if not in_nu(p - q):
+                        yield (f"across parts: {format_rational(x)} - "
+                               f"{format_rational(y)}")
+
+
 def verify_decomposition(result: DecompositionResult) -> DecompositionReport:
     """Re-check the four defining clauses of a suitable decomposition."""
     system, n, k = result.system, result.n, result.split
@@ -289,9 +290,7 @@ def verify_decomposition(result: DecompositionResult) -> DecompositionReport:
     clauses = []
 
     covered = sorted(x for s in result.parts.values() for x in s)
-    total = sum(len(s) for s in result.parts.values())
     partition_ok = (covered == list(result.candidate)
-                    and total == len(result.candidate)
                     and all(a in s for a, s in result.parts.items()))
     clauses.append(ClauseCheck(
         "partition", partition_ok,
@@ -302,53 +301,18 @@ def verify_decomposition(result: DecompositionResult) -> DecompositionReport:
         "head-spectrum", cert.status == SPECTRUM,
         None if cert.status == SPECTRUM else f"A: {cert.status}"))
 
-    part_ok, part_witness = True, None
-    for a, s in sorted(result.parts.items()):
-        c = is_spectrum(omega, s)
-        if c.status != SPECTRUM:
-            part_ok, part_witness = False, \
-                f"Lambda[{format_rational(a)}]: {c.status}"
-            break
-    clauses.append(ClauseCheck("part-spectra", part_ok, part_witness))
-
-    # (Lambda_a - Lambda_a) \ {0} in Z(omega) \ Z(nu); cross differences in Z(nu)
-    cont_ok, cont_witness = True, None
     items = sorted(result.parts.items())
-    for a, s in items:
-        for x in s:
-            for y in s:
-                if x == y:
-                    continue
-                d = x - y
-                if (zero_stratum(omega, d) is None
-                        or zero_stratum(nu, d) is not None):
-                    cont_ok, cont_witness = False, \
-                        (f"within Lambda[{format_rational(a)}]: "
-                         f"{format_rational(d)}")
-                    break
-            if not cont_ok:
-                break
-        if not cont_ok:
-            break
-    if cont_ok:
-        for a, s in items:
-            for a2, s2 in items:
-                if a2 <= a:
-                    continue
-                for x in s:
-                    for y in s2:
-                        if zero_stratum(nu, x - y) is None:
-                            cont_ok, cont_witness = False, \
-                                (f"across parts: {format_rational(x)} - "
-                                 f"{format_rational(y)}")
-                            break
-                    if not cont_ok:
-                        break
-                if not cont_ok:
-                    break
-            if not cont_ok:
-                break
-    clauses.append(ClauseCheck("containments", cont_ok, cont_witness))
+    witness = next((f"Lambda[{format_rational(a)}]: {status}" for a, s in items
+                    if (status := is_spectrum(omega, s).status) != SPECTRUM),
+                   None)
+    clauses.append(ClauseCheck("part-spectra", witness is None, witness))
+
+    den, nums = _integers(result.candidate, result.head,
+                          *(s for _, s in items))
+    witness = next(_containment_witnesses(
+        [(a, s.elements, x) for (a, s), x in zip(items, nums[2:])],
+        zero_set(nu, den), zero_set(omega, den)), None)
+    clauses.append(ClauseCheck("containments", witness is None, witness))
     return DecompositionReport(tuple(clauses))
 
 
@@ -427,10 +391,8 @@ def spectrum_search(window: MeasureWindow,
         raise ValueError("spectrum search requires a finite window")
     system = window.system
     b_n = system.level_product(window.last)
-    grid = 1
-    for k in range(window.first, window.last + 1):
-        lev = system.level(k)
-        grid = math.lcm(grid, lev.scale * lev.count)
+    grid = math.lcm(*(lev.scale * lev.count
+                      for lev in system.levels(window.first, window.last)))
     modulus = b_n * grid
     if modulus > 250_000:
         raise BudgetError(f"residue grid of size {modulus} is too large")

@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Callable, Iterator, Optional, Union
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import HorizonError, ParseError
 
@@ -177,6 +177,40 @@ class MoranSystem:
         past the prefix end p it depends only on the phase (n - p) mod period."""
         p, tails = len(self.prefix), self._tail_constants
         return tails[n if n < p else p + (n - p) % (len(tails) - p)]
+
+
+def first_nondividing_level(system: MoranSystem, last: int) -> Optional[int]:
+    """Smallest j in 2..last with N_j not dividing b_j, or None."""
+    for j in range(2, last + 1):
+        lev = system.level(j)
+        if lev.base % lev.count:
+            return j
+    return None
+
+
+def digit_progressions(system: MoranSystem, first: int,
+                       last: int) -> list[range]:
+    """B_last (a_k / B_k) {0, ..., N_k - 1} for k = first..last, as ranges."""
+    b_last, out = system.level_product(last), []
+    for k in range(first, last + 1):
+        lev = system.level(k)
+        step = lev.scale * (b_last // system.level_product(k))
+        out.append(range(0, lev.count * step, step))
+    return out
+
+
+def sumset_counts(summands: Iterable[Sequence[int]]) -> dict[int, int]:
+    """Multiplicity of each sum x_1 + ... + x_r, x_i drawn from the i-th
+    summand; repeated elements of a summand count separately."""
+    counts = {0: 1}
+    for summand in summands:
+        new: dict[int, int] = {}
+        for v, mult in counts.items():
+            for x in summand:
+                key = v + x
+                new[key] = new.get(key, 0) + mult
+        counts = new
+    return counts
 
 
 @dataclass(frozen=True)

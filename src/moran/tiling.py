@@ -16,7 +16,8 @@ from functools import lru_cache
 from typing import Optional, Sequence
 
 from .errors import InvariantError, NotSpectralError
-from .system import DigitLevel, MoranSystem
+from .system import (DigitLevel, MoranSystem, digit_progressions,
+                     first_nondividing_level, sumset_counts)
 
 TILE = "Tile"
 NOT_TILE = "NotTile"
@@ -38,19 +39,18 @@ class IteratedDigitSet:
 
 
 def iterated_digits(system: MoranSystem, n: int) -> IteratedDigitSet:
-    b_n = system.level_product(n)
-    sums = Counter({0: 1})
-    for k in range(1, n + 1):
-        lev = system.level(k)
-        step = lev.scale * (b_n // system.level_product(k))
-        new: Counter = Counter()
-        for v, mult in sums.items():
-            for d in range(lev.count):
-                new[v + d * step] += mult
-        sums = new
-    elements = tuple(sorted(sums.elements()))
+    sums = sumset_counts(digit_progressions(system, 1, n))
+    elements = tuple(sorted(Counter(sums).elements()))
     direct = all(m == 1 for m in sums.values())
     return IteratedDigitSet(n, elements, direct, elements[-1] + 1)
+
+
+def convolve_uniform_check(d_elements: Sequence[int], c_elements: Sequence[int],
+                           length: int) -> bool:
+    """Exact counting: every s in {0, ..., L-1} has exactly one writing
+    s = d + c, and nothing falls outside."""
+    return sumset_counts((d_elements, c_elements)) == dict.fromkeys(
+        range(length), 1)
 
 
 @dataclass(frozen=True)
@@ -66,13 +66,11 @@ def canonical_complement(system: MoranSystem, n: int
     Requires unit scales and N_j | b_j for 2 <= j <= n; the direct-sum
     identity D_n (+) C_n = {0, ..., L-1} is verified before returning.
     """
-    for j in range(1, n + 1):
-        if system.level(j).scale != 1:
-            raise ValueError("canonical complement requires unit scales")
-    for j in range(2, n + 1):
-        lev = system.level(j)
-        if lev.base % lev.count != 0:
-            raise NotSpectralError(j)
+    if any(lev.scale != 1 for lev in system.levels(1, n)):
+        raise ValueError("canonical complement requires unit scales")
+    j = first_nondividing_level(system, n)
+    if j is not None:
+        raise NotSpectralError(j)
     first = system.level(1)
     levels = [DigitLevel(first.base, 1, 1)]
     length = first.count
@@ -81,14 +79,9 @@ def canonical_complement(system: MoranSystem, n: int
         levels.append(DigitLevel(lev.base, lev.base // lev.count, lev.count))
         length *= lev.base
     complement = MoranSystem(tuple(levels))
-    digits = iterated_digits(system, n)
-    cdigits = iterated_digits(complement, n)
-    counts: Counter = Counter()
-    for d in digits.elements:
-        for c in cdigits.elements:
-            counts[d + c] += 1
-    if (len(counts) != length or set(counts) != set(range(length))
-            or any(m != 1 for m in counts.values())):
+    if not convolve_uniform_check(iterated_digits(system, n).elements,
+                                  iterated_digits(complement, n).elements,
+                                  length):
         raise InvariantError("complement certificate failed: the sum is not "
                              f"{{0, ..., {length - 1}}}")
     return complement, ComplementCertificate(length, True)
@@ -197,30 +190,23 @@ def _window_refutation(dset: tuple[int, ...], width: int,
     """
     dmask = sum(1 << d for d in dset)
     full = (1 << width) - 1
-    budget = [node_budget]
-
-    def cover(bits: int):  # True / False / None (budget exhausted)
+    # depth-first: children are pushed in reverse, so the first is popped
+    # next; once the budget is spent, nodes are still tested, not expanded
+    budget, exhausted, backwards = node_budget, False, dset[::-1]
+    stack = [dmask]
+    while stack:
+        bits = stack.pop()
         if bits & full == full:
-            return True
-        budget[0] -= 1
-        if budget[0] < 0:
-            return None
+            return False  # a covering exists
+        if (budget := budget - 1) < 0:
+            exhausted = True
+            continue
         inv = ~bits
-        u = (inv & -inv).bit_length() - 1  # least uncovered position
-        inconclusive = False
-        for d in dset:
-            t = u - d
-            translate = dmask << t if t >= 0 else dmask >> -t
-            if translate & bits:
-                continue
-            result = cover(bits | translate)
-            if result:
-                return True
-            if result is None:
-                inconclusive = True
-        return None if inconclusive else False
-
-    return cover(dmask) is False
+        # translates of dset by u - d, u the least uncovered position
+        shifted = dmask << ((inv & -inv).bit_length() - 1)
+        stack.extend(bits | t for d in backwards
+                     if not (t := shifted >> d) & bits)
+    return not exhausted
 
 
 def is_integer_tile(digits: Sequence[int], m_max: int = 256) -> TileVerdict:
@@ -257,8 +243,7 @@ def is_integer_tile(digits: Sequence[int], m_max: int = 256) -> TileVerdict:
         complement = _search_complement(reduced, m)
         if complement is None:
             continue
-        counts = Counter((d + t) % m for d in reduced for t in complement)
-        if set(counts) != set(range(m)) or any(c != 1 for c in counts.values()):
+        if not _verify_tiling(reduced, complement, m):
             raise InvariantError("tile verdict failed re-verification")
         return TileVerdict(TILE, period=m, complement=tuple(sorted(complement)),
                            mask_value=size, phi_product=phi_product)
@@ -273,9 +258,9 @@ class RescaledTiling:
 
 
 def _verify_tiling(a: Sequence[int], b: Sequence[int], m: int) -> bool:
-    counts = Counter((x + y) % m for x in a for y in b)
-    return (len(a) * len(b) == m and set(counts) == set(range(m))
-            and all(c == 1 for c in counts.values()))
+    """a (+) b = Z_m: m sums a + b, pairwise distinct mod m."""
+    return (len(a) * len(b) == m
+            and len({s % m for s in sumset_counts((a, b))}) == m)
 
 
 def tijdeman_rescale(a: Sequence[int], b: Sequence[int], m: int,

@@ -179,3 +179,132 @@ def q_grid_reference(window, cs, start, stop, step):
                      for lam in cs)))
         xi += step
     return samples
+
+
+# ---------------------------------------------------------------------------
+# Fraction-based references for the set-level checks: the pairwise loops as
+# they were before the integer zero-set predicate, on zero_stratum_reference
+# and atom enumeration.  Decomposition reports are (name, ok, witness)
+# tuples, with rationals rendered as in the CLI.
+
+
+def _fmt(x):
+    return str(x.numerator) if x.denominator == 1 else \
+        f"{x.numerator}/{x.denominator}"
+
+
+def _in_zero_set(window, lam):
+    return zero_stratum_reference(window, lam) is not None
+
+
+def is_bizero_reference(window, elems):
+    """(ok, first violating pair) over the sorted elements."""
+    elems = sorted(elems)
+    for i in range(len(elems)):
+        for j in range(i + 1, len(elems)):
+            if not _in_zero_set(window, elems[j] - elems[i]):
+                return False, (elems[i], elems[j])
+    return True, None
+
+
+def spectrum_status_reference(window, elems):
+    if not is_bizero_reference(window, elems)[0]:
+        return "OrthogonalityFail"
+    atoms = atoms_with_weights(window.system, window.first, window.last)
+    return "Spectrum" if len(elems) == len(atoms) else "CardinalityFail"
+
+
+def maximal_bizero_subset_reference(window, elems):
+    kept = [Fraction(0)]
+    for lam in sorted(elems):
+        if lam != 0 and all(_in_zero_set(window, lam - a) for a in kept):
+            kept.append(lam)
+    return tuple(sorted(kept))
+
+
+def decomposition_parts_reference(nu, omega, head, elems):
+    """{alpha: sorted part} of a spectrum split along the head A."""
+    parts = {a: [a] for a in head}
+    for lam in sorted(elems):
+        for a in head:
+            if lam != a and _in_zero_set(omega, lam - a) \
+                    and not _in_zero_set(nu, lam - a):
+                parts[a].append(lam)
+    return {a: tuple(sorted(p)) for a, p in parts.items()}
+
+
+def verify_decomposition_reference(nu, omega, head, parts, candidate):
+    """The four clauses of a suitable decomposition, each a
+    (name, ok, witness) tuple; parts maps alpha to a sorted tuple."""
+    clauses = []
+    covered = sorted(x for s in parts.values() for x in s)
+    total = sum(len(s) for s in parts.values())
+    partition_ok = (covered == sorted(candidate)
+                    and total == len(candidate)
+                    and all(a in s for a, s in parts.items()))
+    clauses.append(("partition", partition_ok,
+                    None if partition_ok
+                    else "parts do not partition the spectrum"))
+    status = spectrum_status_reference(nu, head)
+    clauses.append(("head-spectrum", status == "Spectrum",
+                    None if status == "Spectrum" else f"A: {status}"))
+    part_ok, part_witness = True, None
+    for a, s in sorted(parts.items()):
+        status = spectrum_status_reference(omega, s)
+        if status != "Spectrum":
+            part_ok, part_witness = False, f"Lambda[{_fmt(a)}]: {status}"
+            break
+    clauses.append(("part-spectra", part_ok, part_witness))
+    clauses.append(("containments",) + _containments_reference(
+        nu, omega, sorted(parts.items())))
+    return clauses
+
+
+def _containments_reference(nu, omega, items):
+    for a, s in items:
+        for x in s:
+            for y in s:
+                if x != y and (not _in_zero_set(omega, x - y)
+                               or _in_zero_set(nu, x - y)):
+                    return False, f"within Lambda[{_fmt(a)}]: {_fmt(x - y)}"
+    for a, s in items:
+        for a2, s2 in items:
+            if a2 <= a:
+                continue
+            for x in s:
+                for y in s2:
+                    if not _in_zero_set(nu, x - y):
+                        return False, \
+                            f"across parts: {_fmt(x)} - {_fmt(y)}"
+    return True, None
+
+
+def window_refutation_reference(dset, width, node_budget):
+    """The recursive relaxed-covering search: True iff it proves that no
+    packing of translates of dset covers [0, width) within the budget."""
+    dmask = sum(1 << d for d in dset)
+    full = (1 << width) - 1
+    budget = [node_budget]
+
+    def cover(bits):  # True / False / None (budget exhausted)
+        if bits & full == full:
+            return True
+        budget[0] -= 1
+        if budget[0] < 0:
+            return None
+        inv = ~bits
+        u = (inv & -inv).bit_length() - 1
+        inconclusive = False
+        for d in dset:
+            t = u - d
+            translate = dmask << t if t >= 0 else dmask >> -t
+            if translate & bits:
+                continue
+            result = cover(bits | translate)
+            if result:
+                return True
+            if result is None:
+                inconclusive = True
+        return None if inconclusive else False
+
+    return cover(dmask) is False

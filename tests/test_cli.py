@@ -3,7 +3,9 @@ import json
 
 import pytest
 
+from moran import cli
 from moran.cli import run
+from moran.errors import InvariantError
 
 
 def _run(argv):
@@ -115,6 +117,14 @@ def test_tile_verdicts(corpus):
     assert code == 2 and out == "UNKNOWN m_max=2\n"
 
 
+def test_tile_deep_window_search(tmp_path):
+    digits = tmp_path / "far.txt"
+    digits.write_text("0\n1000\n", encoding="utf-8")
+    code, out, err = _run(["tile", str(digits)])
+    assert (code, out, err) == (0, "TILE m=16 complement=0,1,2,3,4,5,6,7\n",
+                                "")
+
+
 def test_complement(corpus):
     code, out, _ = _run(["complement", corpus["quarter.json"],
                          "--level", "2"])
@@ -179,6 +189,15 @@ def test_budget_exit_code(corpus, tmp_path):
          "tail": {"kind": "none"}}), encoding="utf-8")
     code, _, err = _run(["search", str(big), "--level", "2"])
     assert code == 2 and "budget" in err
+
+
+def test_invariant_error_exit_code(corpus, monkeypatch):
+    def broken(args, out):
+        raise InvariantError("certificate failed")
+
+    monkeypatch.setitem(cli._HANDLERS, "analyze", broken)
+    code, out, err = _run(["analyze", corpus["quarter.json"]])
+    assert (code, out, err) == (3, "", "internal: certificate failed\n")
 
 
 def test_outputs_are_reproducible(corpus):

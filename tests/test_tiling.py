@@ -3,11 +3,13 @@ import json
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from moran.errors import InvariantError, NotSpectralError
 from moran.system import parse_system, serialize_system
 from moran.tiling import (
+    _window_refutation,
     canonical_complement,
     cyclotomic,
     is_integer_tile,
@@ -127,6 +129,26 @@ def test_nottile_beyond_t1():
     base = set(d)
     for t in (2 - x for x in d):
         assert base & {t + x for x in d}
+
+
+def test_deep_window_search_does_not_recurse():
+    # {0, 1000}: the covering search over [0, 2002) goes ~1000 translates
+    # deep, past the interpreter's recursion limit
+    v = is_integer_tile([0, 1000])
+    assert v.kind == "Tile" and v.period == 16
+    assert v.complement == tuple(range(8))
+
+
+@given(st.lists(st.integers(1, 14), max_size=4),
+       st.sampled_from([1, 2, 3, 5, 10, 50, 200_000]))
+@settings(max_examples=300, deadline=None)
+def test_window_refutation_matches_recursive_reference(rest, budget):
+    # small budgets run out mid-search: a covering found after that still
+    # counts, and an exhausted search is never a refutation
+    dset = tuple(sorted({0, *rest}))
+    width = 2 * (dset[-1] + 1)
+    assert _window_refutation(dset, width, budget) == \
+        oracles.window_refutation_reference(dset, width, budget)
 
 
 def test_unknown_verdict_when_period_capped():
