@@ -109,17 +109,12 @@ def _cmd_analyze(args, out: TextIO) -> int:
     print(f"certificate: {report.certificate}", file=out)
     total = "-" if report.total is None else format_rational(report.total)
     print(f"sum: {total}", file=out)
-    if isinstance(sys_.tail, system.PeriodicTail):
-        info = system.support_info(sys_, None)
-        print(f"diameter: {format_rational(info.diameter)}", file=out)
-    elif sys_.tail is None:
-        info = system.support_info(sys_, sys_.prefix_length)
-        print(f"diameter: {format_rational(info.diameter)}", file=out)
-    else:
+    if isinstance(sys_.tail, system.FormulaTail):
         print("diameter: unavailable", file=out)
-    horizon = sys_.horizon
-    verdict = spectra.truncation_spectral_verdict(
-        sys_, horizon if horizon is not None else None)
+    else:
+        info = system.support_info(sys_, sys_.horizon)
+        print(f"diameter: {format_rational(info.diameter)}", file=out)
+    verdict = spectra.truncation_spectral_verdict(sys_, sys_.horizon)
     print(f"spectral: {verdict}", file=out)
     return 0
 

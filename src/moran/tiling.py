@@ -1,10 +1,15 @@
 """Iterated digit sets and integer-tile decisions.
 
 The tile verdict is three-valued: a verified (period, complement) pair, a
-cyclotomic non-tile certificate (the necessary condition that the product
-of Phi_{p^a}(1) over prime-power cyclotomic divisors of the mask
-polynomial equals the set size), or an honest Unknown up to the searched
-period bound.
+non-tile certificate (T1 of Coven and Meyerowitz read off residue counts,
+or a window-covering refutation), or an honest Unknown up to the period
+bound.  Periods step by lcm(S_A), S_A the prime powers s = p^a with
+Phi_s | A(x): if A (+) C = Z_m, every prime power s | m has Phi_s | A(x) or
+Phi_s | C(x), and Phi_s(1) = p gives #A #C >= prod_{s in S_A, s | m} p *
+prod_{s in S_C} p >= m, with equality; so under T1 (prod_{S_A} p = #A) no
+s in S_A misses m.  Searches use bitmasks of at most MAX_MASK_BITS bits: a
+wider window refutation is skipped (it is only sufficient), and a longer
+period raises BudgetError.
 """
 
 from __future__ import annotations
@@ -12,10 +17,9 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional, Sequence
 
-from .errors import InvariantError, NotSpectralError
+from .errors import BudgetError, InvariantError, NotSpectralError
 from .system import (DigitLevel, MoranSystem, digit_progressions,
                      first_nondividing_level, sumset_counts)
 
@@ -88,54 +92,32 @@ def canonical_complement(system: MoranSystem, n: int
 
 
 # ---------------------------------------------------------------------------
-# cyclotomic machinery (exact integer polynomials, low-to-high coefficients)
+# integer tiles: residue counts and bitmasks
+
+MAX_MASK_BITS = 4096  # longest bitmask a tile search builds
 
 
-def _poly_divide_exact(num: Sequence[int],
-                       den: Sequence[int]) -> Optional[list[int]]:
-    """Quotient of num / den over Z if the division is exact, else None."""
-    num = list(num)
-    dn = len(den) - 1
-    lead = den[-1]
-    quotient = [0] * (len(num) - dn)
-    for i in range(len(num) - 1, dn - 1, -1):
-        if num[i] == 0:
-            continue
-        if num[i] % lead != 0:
-            return None
-        q = num[i] // lead
-        quotient[i - dn] = q
-        for j, c in enumerate(den):
-            num[i - dn + j] -= q * c
-    return None if any(num[:dn]) else quotient
+def _prime_power_divisors(dset: Sequence[int]) -> dict[int, int]:
+    """S_A: the prime powers s = p^a with Phi_s | A(x), each mapped to p.
 
-
-@lru_cache(maxsize=None)
-def cyclotomic(n: int) -> tuple[int, ...]:
-    """Coefficients of the n-th cyclotomic polynomial (quotient recurrence)."""
-    poly = [-1] + [0] * (n - 1) + [1]  # x^n - 1
-    for d in range(1, n):
-        if n % d == 0:
-            poly = _poly_divide_exact(poly, cyclotomic(d))
-    return tuple(poly)
-
-
-def _prime_power_divisors(mask: Sequence[int], max_exp: int) -> list[int]:
-    """Prime powers p^a with Phi_{p^a} | mask, scanned by degree bound.
-
-    Any divisor of the mask polynomial has degree <= max exponent, so
-    phi(p^a) <= max_exp bounds the scan.
+    Phi_s | A(x) exactly when, mod s, the digits in r, r + s/p, ...,
+    r + (p-1) s/p are equally many for every r; so p divides #A, and
+    phi(s) <= max A (the degree of A) bounds the powers.
     """
-    found = []
-    p = 2
-    while p - 1 <= max_exp:
-        if all(p % q for q in range(2, int(math.isqrt(p)) + 1)):
-            power = p
-            while (power // p) * (p - 1) <= max_exp:
-                if _poly_divide_exact(mask, cyclotomic(power)) is not None:
-                    found.append(power)
-                power *= p
-        p += 1
+    found, top, rest = {}, dset[-1], len(dset)
+    for p in range(2, len(dset) + 1):  # a composite p no longer divides rest
+        if rest % p:
+            continue
+        while rest % p == 0:
+            rest //= p
+        s = p
+        while s // p * (p - 1) <= top:
+            step = s // p
+            counts = Counter(d % s for d in dset)
+            if all(counts[x % step + j * step] == c
+                   for x, c in counts.items() for j in range(p)):
+                found[s] = p
+            s *= p
     return found
 
 
@@ -153,27 +135,23 @@ class TileVerdict:
 
 def _search_complement(digits: tuple[int, ...], m: int) -> Optional[list[int]]:
     """Backtracking complement search in Z_m, least-uncovered-first fill."""
-    digit_set = set(digits)
-    masks = [0] * m
-    for t in range(m):
-        masks[t] = sum(1 << ((d + t) % m) for d in digits)
+    masks = [sum(1 << ((d + t) % m) for d in digits) for t in range(m)]
     full = (1 << m) - 1
-
-    def fill(cover: int, chosen: list[int]) -> Optional[list[int]]:
+    # depth-first in the recursion's order (children pushed in reverse);
+    # path[1:depth] holds a node's ancestors: only deeper nodes came between
+    stack, path = [(0, 0, None)], []
+    while stack:
+        cover, depth, t = stack.pop()
+        path[depth:] = [t]
         if cover == full:
-            return chosen
-        hole = (~cover & full)
+            return path[1:]
+        hole = ~cover & full
         s = (hole & -hole).bit_length() - 1  # least uncovered residue
-        for t in sorted({(s - d) % m for d in digit_set}):
-            mask = masks[t]
-            if mask & cover:
-                continue
-            result = fill(cover | mask, chosen + [t])
-            if result is not None:
-                return result
-        return None
-
-    return fill(0, [])
+        stack.extend((cover | masks[t], depth + 1, t)
+                     for t in sorted({(s - d) % m for d in digits},
+                                     reverse=True)
+                     if not masks[t] & cover)
+    return None
 
 
 def _window_refutation(dset: tuple[int, ...], width: int,
@@ -212,7 +190,7 @@ def _window_refutation(dset: tuple[int, ...], width: int,
 def is_integer_tile(digits: Sequence[int], m_max: int = 256) -> TileVerdict:
     """Decide whether a finite set of nonnegative integers tiles some Z_m.
 
-    NotTile verdicts carry the cyclotomic certificate; Tile verdicts are
+    NotTile verdicts carry the T1 or window certificate; Tile verdicts are
     re-verified (each residue covered exactly once) before returning.
     """
     dset = sorted(set(digits))
@@ -222,21 +200,18 @@ def is_integer_tile(digits: Sequence[int], m_max: int = 256) -> TileVerdict:
     if size == 1:
         return TileVerdict(TILE, period=1, complement=(0,),
                            mask_value=1, phi_product=1)
-    top = dset[-1]
-    mask = [0] * (top + 1)
-    for d in dset:
-        mask[d] = 1
-    phi_product = 1
-    for power in _prime_power_divisors(mask, top):
-        # Phi_{p^a}(1) = p
-        phi_product *= min(p for p in range(2, power + 1) if power % p == 0)
+    divisors = _prime_power_divisors(dset)
+    phi_product = math.prod(divisors.values())  # Phi_{p^a}(1) = p
     if phi_product != size:
         return TileVerdict(NOT_TILE, certificate="T1",
                            mask_value=size, phi_product=phi_product)
-    width = 2 * (top + 1)
-    if _window_refutation(tuple(dset), width):
+    width = 2 * (dset[-1] + 1)
+    if width <= MAX_MASK_BITS and _window_refutation(tuple(dset), width):
         return TileVerdict(NOT_TILE, certificate="window", window=width)
-    for m in range(size, m_max + 1, size):
+    stride = math.lcm(*divisors)
+    for m in range(stride, m_max + 1, stride):
+        if m > MAX_MASK_BITS:
+            raise BudgetError(f"period {m} exceeds {MAX_MASK_BITS} mask bits")
         reduced = tuple(sorted({d % m for d in dset}))
         if len(reduced) != size:
             continue

@@ -308,3 +308,77 @@ def window_refutation_reference(dset, width, node_budget):
         return None if inconclusive else False
 
     return cover(dmask) is False
+
+
+# ---------------------------------------------------------------------------
+# Integer tiles by polynomials and by recursion: the cyclotomic divisibility
+# test by exact division, and the recursive complement search.
+
+
+def poly_divide_exact(num, den):
+    """Quotient of num / den over Z (low-to-high coefficients) if the
+    division is exact, else None."""
+    num = list(num)
+    dn = len(den) - 1
+    lead = den[-1]
+    quotient = [0] * (len(num) - dn)
+    for i in range(len(num) - 1, dn - 1, -1):
+        if num[i] == 0:
+            continue
+        if num[i] % lead != 0:
+            return None
+        q = num[i] // lead
+        quotient[i - dn] = q
+        for j, c in enumerate(den):
+            num[i - dn + j] -= q * c
+    return None if any(num[:dn]) else quotient
+
+
+def cyclotomic(n):
+    """Coefficients of the n-th cyclotomic polynomial: x^n - 1 divided by
+    Phi_d for every proper divisor d of n."""
+    poly = [-1] + [0] * (n - 1) + [1]
+    for d in range(1, n):
+        if n % d == 0:
+            poly = poly_divide_exact(poly, cyclotomic(d))
+    return tuple(poly)
+
+
+def prime_power_divisors_reference(dset):
+    """Prime powers p^a with Phi_{p^a} | A(x), by exact division, scanned
+    over every prime p and every power with phi(p^a) <= max A."""
+    top = max(dset)
+    mask = [0] * (top + 1)
+    for d in dset:
+        mask[d] = 1
+    found = []
+    for p in range(2, top + 2):
+        if any(p % q == 0 for q in range(2, math.isqrt(p) + 1)):
+            continue
+        power = p
+        while (power // p) * (p - 1) <= top:
+            if poly_divide_exact(mask, cyclotomic(power)) is not None:
+                found.append(power)
+            power *= p
+    return found
+
+
+def search_complement_reference(digits, m):
+    """The recursive least-uncovered-first complement search in Z_m."""
+    masks = [sum(1 << ((d + t) % m) for d in digits) for t in range(m)]
+    full = (1 << m) - 1
+
+    def fill(cover, chosen):
+        if cover == full:
+            return chosen
+        hole = ~cover & full
+        s = (hole & -hole).bit_length() - 1
+        for t in sorted({(s - d) % m for d in digits}):
+            if masks[t] & cover:
+                continue
+            result = fill(cover | masks[t], chosen + [t])
+            if result is not None:
+                return result
+        return None
+
+    return fill(0, [])

@@ -1,8 +1,12 @@
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import moran
 from moran import cli
 from moran.cli import run
 from moran.errors import InvariantError
@@ -46,6 +50,28 @@ def test_analyze(corpus):
                    "sum: 2/3\n"
                    "diameter: 1/3\n"
                    "spectral: Spectral\n")
+
+
+def test_analyze_finite_and_formula_tails(corpus, tmp_path):
+    code, out, _ = _run(["analyze", corpus["mixed.json"]])
+    assert code == 0
+    assert out == ("convergence: Convergent\n"
+                   "certificate: finite-prefix\n"
+                   "sum: 5/6\n"
+                   "diameter: 13/24\n"
+                   "spectral: Spectral\n")
+    formula = tmp_path / "formula.json"
+    formula.write_text(json.dumps(
+        {"prefix": {"b": [4], "N": [2]},
+         "tail": {"kind": "formula", "b": 10, "c": "1", "rho": "2"}}),
+        encoding="utf-8")
+    code, out, _ = _run(["analyze", str(formula)])
+    assert code == 0
+    assert out == ("convergence: Convergent\n"
+                   "certificate: ratio-test\n"
+                   "sum: 49/72\n"
+                   "diameter: unavailable\n"
+                   "spectral: NotSpectral(2)\n")
 
 
 def test_spectrum(corpus):
@@ -123,6 +149,39 @@ def test_tile_deep_window_search(tmp_path):
     code, out, err = _run(["tile", str(digits)])
     assert (code, out, err) == (0, "TILE m=16 complement=0,1,2,3,4,5,6,7\n",
                                 "")
+
+
+def _tile_subprocess(tmp_path, digits, *options):
+    # a fresh interpreter with a timeout: a run without bound fails the test
+    path = tmp_path / "digits.txt"
+    path.write_text("".join(f"{d}\n" for d in digits), encoding="utf-8")
+    src = os.path.dirname(os.path.dirname(moran.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-m", "moran.cli", "tile", str(path), *options],
+        capture_output=True, text=True, env=env, timeout=20)
+    return done.returncode, done.stdout, done.stderr
+
+
+def test_tile_long_periods_finish(tmp_path):
+    code, out, err = _tile_subprocess(tmp_path, (0, 64))
+    complement = ",".join(str(t) for t in range(64))
+    assert (code, out, err) == (0, f"TILE m=128 complement={complement}\n",
+                                "")
+    code, out, err = _tile_subprocess(tmp_path, (0, 2048),
+                                      "--max-period", "4096")
+    complement = ",".join(str(t) for t in range(2048))
+    assert (code, out, err) == (0, f"TILE m=4096 complement={complement}\n",
+                                "")
+
+
+def test_tile_huge_digits_stay_bounded(tmp_path):
+    code, out, err = _tile_subprocess(tmp_path, (0, 10**12))
+    assert (code, out, err) == (2, "UNKNOWN m_max=256\n", "")
+    code, out, err = _tile_subprocess(tmp_path, (0, 2**20),
+                                      "--max-period", "4194304")
+    assert code == 2 and out == ""
+    assert err.startswith("budget exceeded:") and "Traceback" not in err
 
 
 def test_complement(corpus):

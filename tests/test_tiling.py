@@ -1,17 +1,20 @@
 import itertools
 import json
+import math
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import oracles
-from moran.errors import InvariantError, NotSpectralError
+from moran.errors import BudgetError, InvariantError, NotSpectralError
 from moran.system import parse_system, serialize_system
 from moran.tiling import (
+    MAX_MASK_BITS,
+    _prime_power_divisors,
+    _search_complement,
     _window_refutation,
     canonical_complement,
-    cyclotomic,
     is_integer_tile,
     iterated_digits,
     tijdeman_rescale,
@@ -86,10 +89,10 @@ def test_canonical_complement_rejects_nonspectral():
 
 
 def test_cyclotomic_small_cases():
-    assert cyclotomic(1) == (-1, 1)
-    assert cyclotomic(2) == (1, 1)
-    assert cyclotomic(6) == (1, -1, 1)
-    assert cyclotomic(8) == (1, 0, 0, 0, 1)
+    assert oracles.cyclotomic(1) == (-1, 1)
+    assert oracles.cyclotomic(2) == (1, 1)
+    assert oracles.cyclotomic(6) == (1, -1, 1)
+    assert oracles.cyclotomic(8) == (1, 0, 0, 0, 1)
     # Phi_2^2 * Phi_6 = mask of {0,1,3,4}
     prod = oracles.poly_multiply(
         oracles.poly_multiply([1, 1], [1, 1]), [1, -1, 1])
@@ -149,6 +152,58 @@ def test_window_refutation_matches_recursive_reference(rest, budget):
     width = 2 * (dset[-1] + 1)
     assert _window_refutation(dset, width, budget) == \
         oracles.window_refutation_reference(dset, width, budget)
+
+
+def test_prime_power_divisors_examples():
+    # 1 + x + x^3 + x^4 = Phi_2^2 Phi_6: Phi_2 once as a prime power
+    assert _prime_power_divisors((0, 1, 3, 4)) == {2: 2}
+    assert _prime_power_divisors((0, 1, 8, 9)) == {2: 2, 16: 2}
+    assert _prime_power_divisors((0, 1, 2, 12, 13, 14, 24, 25, 26)) == \
+        {3: 3, 9: 3}
+    # far beyond any polynomial: 1 + x^(10^12) = Phi_{2^13} * ...
+    assert _prime_power_divisors((0, 10**12)) == {2**13: 2}
+
+
+@given(st.lists(st.integers(1, 63), max_size=8))
+@settings(max_examples=300, deadline=None)
+def test_prime_power_divisors_match_polynomial_division(rest):
+    dset = tuple(sorted({0, *rest}))
+    got = _prime_power_divisors(dset)
+    assert list(got) == oracles.prime_power_divisors_reference(dset)
+    assert all(p == min(q for q in range(2, s + 1) if s % q == 0)
+               for s, p in got.items())
+
+
+@given(st.lists(st.integers(1, 40), max_size=4), st.integers(1, 48))
+@settings(max_examples=200, deadline=None)
+def test_search_complement_matches_recursive_reference(rest, m):
+    digits = tuple(sorted({d % m for d in (0, *rest)}))
+    assert _search_complement(digits, m) == \
+        oracles.search_complement_reference(digits, m)
+
+
+@given(st.lists(st.integers(1, 15), min_size=1, max_size=3),
+       st.integers(1, 32))
+@settings(max_examples=200, deadline=None)
+def test_tiling_periods_are_multiples_of_lcm_s_a(rest, multiple):
+    # the period stride: a complement in Z_m forces lcm(S_A) | m
+    dset = tuple(sorted({0, *rest}))
+    m = len(dset) * multiple
+    reduced = tuple(sorted({d % m for d in dset}))
+    assume(m <= 64 and len(reduced) == len(dset))
+    if oracles.search_complement_reference(reduced, m) is not None:
+        assert m % math.lcm(*_prime_power_divisors(dset)) == 0
+
+
+def test_mask_bound_edges():
+    # for h a power of two, 1 + x^h has S_A = {2h}: the longest allowed
+    # period still tiles (h translates deep), the next one is refused
+    half = MAX_MASK_BITS // 2
+    v = is_integer_tile((0, half), m_max=MAX_MASK_BITS)
+    assert (v.kind, v.period, v.complement) == \
+        ("Tile", MAX_MASK_BITS, tuple(range(half)))
+    with pytest.raises(BudgetError):
+        is_integer_tile((0, MAX_MASK_BITS), m_max=2 * MAX_MASK_BITS)
 
 
 def test_unknown_verdict_when_period_capped():
