@@ -11,9 +11,8 @@ from .fuglede import FugledeReport, convolve_uniform_check, fuglede_report
 from .spectra import (CandidateSet, DecompositionResult, SpectrumCertificate,
                       canonical_spectrum, is_bizero, is_spectrum,
                       maximal_bizero_subset, parse_candidates, q_function,
-                      q_grid, single_factor_spectrum_check, spectrum_search,
-                      suitable_decomposition, truncation_spectral_verdict,
-                      verify_decomposition)
+                      q_grid, spectrum_search, suitable_decomposition,
+                      truncation_spectral_verdict, verify_decomposition)
 from .system import (ConvergenceReport, DigitLevel, FormulaTail, MoranSystem,
                      PeriodicTail, SupportInfo, check_convergence,
                      format_rational, parse_rational, parse_system,

@@ -10,6 +10,7 @@ and '\\n'.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -64,6 +65,7 @@ def _rationals(values) -> str:
     return " ".join(format_rational(v) for v in values)
 
 
+@functools.cache  # parse_args leaves the parser unchanged: build it once
 def _build_parser() -> _Parser:
     parser = _Parser(prog="moran", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -33,6 +33,14 @@ UNKNOWN_BEYOND_HORIZON = "UnknownBeyondHorizon"
 # how far into a formula tail the divisibility scan looks before giving up
 FORMULA_HORIZON = 64
 
+# grid points per block of a finite Q grid: the kernel columns held at once
+# are (distinct level classes) x QGRID_BLOCK floats
+QGRID_BLOCK = 256
+
+# points x |Lambda| x window levels (one per transform on an infinite
+# window) above which q_grid refuses to run
+MAX_QGRID_WORK = 10 ** 7
+
 
 @dataclass(frozen=True)
 class CandidateSet:
@@ -320,27 +328,55 @@ def verify_decomposition(result: DecompositionResult) -> DecompositionReport:
 # Q functional
 
 
+def _column(level: tuple[int, int, int], c: int, xs: range) -> list[float]:
+    """Squared kernel of one level (a, N, den B_k) at the numerators
+    c + a x mod den B_k, x in xs."""
+    a, n, d = level
+    r, s = (c + a * xs.start) % d, a * xs.step % d
+    col = []
+    for _ in range(len(xs)):
+        if r:
+            v = dirichlet(n, r, d)
+            col.append(v * v)
+        else:
+            col.append(1.0)
+        r += s
+        if r >= d:
+            r -= d
+    return col
+
+
 def _finite_q(window: MeasureWindow, cs: CandidateSet, den: int,
               nums: range) -> Iterator[float]:
     """Q(x / den) of a finite window for each x in nums, where den is a
-    multiple of every candidate denominator: each argument x/den + lambda
-    is one integer numerator until the Dirichlet kernel."""
+    multiple of every candidate denominator.
+
+    Level k sees x/den + lambda as the numerator a_k (x + lambda) mod
+    den B_k, which depends on lambda only through its class a_k lambda mod
+    den B_k; so each (level, class) column is computed once per block of
+    QGRID_BLOCK points, and each lambda's columns are multiplied in level
+    order and summed in candidate order, as point by point."""
     system = window.system
-    factors = [(system.level(k).scale, system.level(k).count,
-                den * system.level_product(k))
-               for k in range(window.first, window.last + 1)]
-    lams = [lam.numerator * (den // lam.denominator) for lam in cs]
-    for x in nums:
-        total = 0
-        for lam in lams:
-            y, acc = x + lam, 1.0
-            for a, n, d in factors:
-                r = a * y % d
-                if r:
-                    v = dirichlet(n, r, d)
-                    acc *= v * v
-            total += acc
-        yield total
+    levels = [(lev.scale, lev.count, den * system.level_product(k))
+              for k, lev in enumerate(system.levels(window.first, window.last),
+                                      window.first)]
+    classes = [[(k, a * (lam.numerator * (den // lam.denominator)) % d)
+                for k, (a, _, d) in enumerate(levels)] for lam in cs]
+    for i in range(0, len(nums), QGRID_BLOCK):
+        block = nums[i:i + QGRID_BLOCK]
+        columns: dict[tuple[int, int], list[float]] = {}
+        total = [0] * len(block)
+        for keys in classes:
+            acc = None
+            for key in keys:
+                col = columns.get(key)
+                if col is None:
+                    col = columns[key] = _column(levels[key[0]], key[1],
+                                                 block)
+                # 1.0 * col == col exactly: the first level starts the product
+                acc = col if acc is None else [p * q for p, q in zip(acc, col)]
+            total = [t + p for t, p in zip(total, acc)]
+        yield from total
 
 
 def q_function(window: MeasureWindow, cs: CandidateSet, xi: Fraction,
@@ -365,6 +401,12 @@ def q_grid(window: MeasureWindow, cs: CandidateSet, start: Fraction,
     first = start.numerator * (den // start.denominator)
     stride = step.numerator * (den // step.denominator)
     count = (Fraction(stop) - start) // step + 1
+    levels = 1 if window.last is None else window.last - window.first + 1
+    # an empty Lambda still lists every point
+    work = count * max(len(cs), 1) * levels
+    if work > MAX_QGRID_WORK:
+        raise BudgetError(f"q grid of {count} points x {len(cs)} candidates "
+                          f"x {levels} levels exceeds {MAX_QGRID_WORK}")
     nums = range(first, first + count * stride, stride)
     xis = [Fraction(x, den) for x in nums]
     if window.last is None:
@@ -426,11 +468,3 @@ def spectrum_search(window: MeasureWindow,
     if found is None:
         return None
     return CandidateSet.of(Fraction(j, grid) for j in found)
-
-
-def single_factor_spectrum_check(n: int, cs: CandidateSet) -> bool:
-    """Spectrum test for delta on {0, ..., N-1}: residues mod 1 are {j/N}."""
-    if Fraction(0) not in cs:
-        raise ValueError("candidate set must contain 0")
-    residues = {c % 1 for c in cs}
-    return len(cs) == n and residues == {Fraction(j, n) for j in range(n)}

@@ -224,7 +224,6 @@ class ConvergenceReport:
 @dataclass(frozen=True)
 class SupportInfo:
     diameter: Fraction
-    left: Fraction
     resolution: Fraction
 
 
@@ -285,10 +284,10 @@ def support_info(system: MoranSystem, n: Optional[int]) -> SupportInfo:
         if not isinstance(system.tail, PeriodicTail):
             raise HorizonError("infinite support requires a periodic tail")
         diameter = periodic_tail_series(system, weight)
-        return SupportInfo(diameter, Fraction(0), Fraction(0))
+        return SupportInfo(diameter, Fraction(0))
     diameter = _prefix_series(system, n, weight)
     resolution = Fraction(system.level(n).scale, system.level_product(n))
-    return SupportInfo(diameter, Fraction(0), resolution)
+    return SupportInfo(diameter, resolution)
 
 
 # ---------------------------------------------------------------------------

@@ -70,6 +70,14 @@ def enumerate_spectra(system, last, grid, limit):
     return found
 
 
+def single_factor_spectrum_check(n, cs):
+    """Spectrum test for delta on {0, ..., N-1}: residues mod 1 are {j/N}."""
+    if Fraction(0) not in cs:
+        raise ValueError("candidate set must contain 0")
+    residues = {c % 1 for c in cs}
+    return len(cs) == n and residues == {Fraction(j, n) for j in range(n)}
+
+
 def poly_multiply(a, b):
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):

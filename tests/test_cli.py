@@ -134,6 +134,15 @@ def test_qgrid(corpus):
         assert abs(float(q) - 1.0) <= 1e-9
 
 
+def test_qgrid_work_is_bounded(corpus):
+    code, out, err = _cli_subprocess(
+        "qgrid", corpus["quarter.json"], "--level", "2",
+        "--lambda", corpus["spec.txt"], "--from", "0", "--to", "1",
+        "--step", f"1/{10**12}")
+    assert code == 2 and out == ""
+    assert err.startswith("budget exceeded:") and "Traceback" not in err
+
+
 def test_tile_verdicts(corpus):
     code, out, _ = _run(["tile", corpus["tile.txt"]])
     assert code == 0 and out == "TILE m=16 complement=0,2,4,6\n"
@@ -151,16 +160,19 @@ def test_tile_deep_window_search(tmp_path):
                                 "")
 
 
-def _tile_subprocess(tmp_path, digits, *options):
+def _cli_subprocess(*argv):
     # a fresh interpreter with a timeout: a run without bound fails the test
-    path = tmp_path / "digits.txt"
-    path.write_text("".join(f"{d}\n" for d in digits), encoding="utf-8")
     src = os.path.dirname(os.path.dirname(moran.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    done = subprocess.run(
-        [sys.executable, "-m", "moran.cli", "tile", str(path), *options],
-        capture_output=True, text=True, env=env, timeout=20)
+    done = subprocess.run([sys.executable, "-m", "moran.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=20)
     return done.returncode, done.stdout, done.stderr
+
+
+def _tile_subprocess(tmp_path, digits, *options):
+    path = tmp_path / "digits.txt"
+    path.write_text("".join(f"{d}\n" for d in digits), encoding="utf-8")
+    return _cli_subprocess("tile", str(path), *options)
 
 
 def test_tile_long_periods_finish(tmp_path):
@@ -248,6 +260,26 @@ def test_budget_exit_code(corpus, tmp_path):
          "tail": {"kind": "none"}}), encoding="utf-8")
     code, _, err = _run(["search", str(big), "--level", "2"])
     assert code == 2 and "budget" in err
+
+
+def test_parser_reuse_matches_fresh_parser(corpus, tmp_path):
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps(
+        {"prefix": {"b": [600, 600], "N": [2, 2]},
+         "tail": {"kind": "none"}}), encoding="utf-8")
+    qgrid = ["qgrid", corpus["quarter.json"], "--level", "2",
+             "--lambda", corpus["spec.txt"],
+             "--from", "0", "--to", "1", "--step", "1/100"]
+    calls = [["frobnicate"], ["spectrum", corpus["quarter.json"]], qgrid,
+             ["search", str(big), "--level", "2"], qgrid]
+    fresh = []
+    for argv in calls:
+        cli._build_parser.cache_clear()
+        fresh.append(_run(argv))
+    assert [code for code, _, _ in fresh] == [1, 1, 0, 2, 0]
+    cli._build_parser.cache_clear()
+    assert [_run(argv) for argv in calls] == fresh
+    assert cli._build_parser.cache_info().misses == 1
 
 
 def test_invariant_error_exit_code(corpus, monkeypatch):

@@ -14,7 +14,7 @@ from hypothesis import assume, given, settings, strategies as st
 import oracles
 from moran.fourier import (FACTOR_EPS, PI_UPPER, MeasureWindow, ZeroStratumHit,
                            _truncation_cutoff, dirichlet, zero_stratum)
-from moran.spectra import CandidateSet, q_function, q_grid
+from moran.spectra import QGRID_BLOCK, CandidateSet, q_function, q_grid
 from moran.system import parse_system
 
 
@@ -177,6 +177,21 @@ def test_q_grid_equals_reference(sys_, lams, start, step_num, step_den,
     assert q_function(window, cs, start) == \
         sum(oracles.abs2_transform_reference(window, start + lam)
             for lam in cs)
+
+
+def test_q_grid_across_blocks_equals_reference():
+    # 2 blocks + 3 points; xi = -3 + i/97 meets B_1/a_1 = 3 at i = 0 and
+    # 291, where level 1's numerator is 0
+    sys_ = parse_system(json.dumps(
+        {"prefix": {"b": [6, 4], "N": [3, 2], "scale": [2, 3]},
+         "tail": {"kind": "none"}}))
+    window = MeasureWindow(sys_, 1, 2)
+    cs = CandidateSet.of([0, F(1, 3), F(5, 2), F(-7, 6)])
+    start, step = F(-3), F(1, 97)
+    stop = start + (2 * QGRID_BLOCK + 2) * step
+    got = q_grid(window, cs, start, stop, step)
+    assert len(got) == 2 * QGRID_BLOCK + 3
+    assert got == oracles.q_grid_reference(window, cs, start, stop, step)
 
 
 @given(st.lists(rationals(10 ** 6), max_size=12), rationals(10 ** 6))

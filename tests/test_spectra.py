@@ -9,6 +9,7 @@ from moran.errors import BudgetError, NotSpectralError
 from moran.fourier import MeasureWindow
 from moran.spectra import (
     CARDINALITY_FAIL,
+    MAX_QGRID_WORK,
     ORTHOGONALITY_FAIL,
     SPECTRUM,
     CandidateSet,
@@ -20,7 +21,6 @@ from moran.spectra import (
     parse_candidates,
     q_function,
     q_grid,
-    single_factor_spectrum_check,
     spectrum_search,
     suitable_decomposition,
     truncation_spectral_verdict,
@@ -242,6 +242,21 @@ def test_q_bounded_by_one_for_bizero_sets():
             assert q <= 1 + 1e-9
 
 
+def test_q_grid_work_bound():
+    # points x |Lambda| x window levels, one level per transform on an
+    # infinite window; an empty Lambda still counts its points
+    infinite = _sys((4, 4), (2, 2),
+                    tail='{"kind": "periodic", "b": [4], "N": [2]}')
+    step = F(4, MAX_QGRID_WORK)
+    with pytest.raises(BudgetError):
+        q_grid(MeasureWindow(infinite), SPEC_2218, F(0), F(1), step)
+    with pytest.raises(BudgetError):
+        q_grid(MeasureWindow(QUARTER, 1, 2), SPEC_2218, F(0), F(1), 2 * step)
+    with pytest.raises(BudgetError):
+        q_grid(MeasureWindow(QUARTER, 1, 2), CandidateSet(()), F(0), F(1),
+               F(1, MAX_QGRID_WORK))
+
+
 def test_spectrum_search_examples():
     assert spectrum_search(MeasureWindow(QUARTER, 1, 2)) == SPEC_2218
     assert spectrum_search(MeasureWindow(TWOTHREE, 1, 2)) is None
@@ -263,12 +278,11 @@ def test_spectrum_search_budget():
 
 
 def test_single_factor_examples():
-    assert single_factor_spectrum_check(2, CandidateSet.of([F(0), F(1, 2)]))
-    assert single_factor_spectrum_check(2, CandidateSet.of([F(0), F(3, 2)]))
-    assert single_factor_spectrum_check(
-        3, CandidateSet.of([F(0), F(1, 3), F(5, 3)]))
-    assert not single_factor_spectrum_check(
-        3, CandidateSet.of([F(0), F(1, 3), F(4, 3)]))
+    check = oracles.single_factor_spectrum_check
+    assert check(2, CandidateSet.of([F(0), F(1, 2)]))
+    assert check(2, CandidateSet.of([F(0), F(3, 2)]))
+    assert check(3, CandidateSet.of([F(0), F(1, 3), F(5, 3)]))
+    assert not check(3, CandidateSet.of([F(0), F(1, 3), F(4, 3)]))
 
 
 def test_spectrum_scaling_equivalence():

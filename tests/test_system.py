@@ -181,7 +181,6 @@ def test_bounded_count_tail_always_convergent():
 def test_support_quarter_infinite():
     info = support_info(QUARTER, None)
     assert info.diameter == F(1, 3)
-    assert info.left == F(0)
 
 
 def test_support_finite_oracle():
