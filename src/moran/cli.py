@@ -10,6 +10,7 @@ and '\\n'.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import sys
@@ -89,7 +90,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--from", dest="start", required=True, metavar="Q")
     p.add_argument("--to", dest="stop", required=True, metavar="Q")
     p.add_argument("--step", required=True, metavar="Q")
-    p.add_argument("--eps", type=float, default=1e-9)
     p = sub.add_parser("tile")
     p.add_argument("digits", help="digit-set file, one integer per line")
     p.add_argument("--max-period", type=int, default=256)
@@ -170,7 +170,7 @@ def _cmd_qgrid(args, out: TextIO) -> int:
     samples = spectra.q_grid(window, _load_candidates(args.lam),
                              parse_rational(args.start),
                              parse_rational(args.stop),
-                             parse_rational(args.step), eps=args.eps)
+                             parse_rational(args.step))
     out.write("xi,Q\n")
     for xi, q in samples:
         out.write(f"{format_rational(xi)},{q!r}\n")
@@ -274,11 +274,15 @@ def run(argv: Sequence[str], out: Optional[TextIO] = None,
     err = sys.stderr if err is None else err
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        # argparse prints --help to sys.stdout, then raises SystemExit(0)
+        with contextlib.redirect_stdout(out):
+            args = parser.parse_args(argv)
     except _UsageError as exc:
         print(f"error: {exc}", file=err)
         parser.print_usage(err)
         return 1
+    except SystemExit as exc:
+        return exc.code
     try:
         return _HANDLERS[args.command](args, out)
     except NotSpectralError as exc:  # a verdict (spectrum, complement)

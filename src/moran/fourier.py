@@ -45,10 +45,6 @@ class MeasureWindow:
                 raise ValueError("window requires first <= last")
             self.system.level(self.last)  # raises HorizonError if unreachable
 
-    @property
-    def is_finite(self) -> bool:
-        return self.last is not None
-
 
 @dataclass(frozen=True)
 class ZeroStratumHit:
@@ -80,8 +76,14 @@ def dirichlet(n: int, r: int, den: int) -> float:
         m = den - m
     if 2 * r > den:
         r = den - r
-    return (sign * math.sin(math.pi * (m / den))
-            / (n * math.sin(math.pi * (r / den))))
+    t = r / den
+    if t < 2.0 ** -1022:
+        # t is subnormal or 0 as a float: sin(pi t) = pi t to far below one
+        # ulp, n t is formed exactly, and sign is a mirrored r's (-1)^(n+1)
+        if (n * r) << 30 < den:
+            return sign  # the kernel is sign (1 - O((pi n t)^2)), n t < 2^-30
+        return sign * math.sin(math.pi * (m / den)) / (math.pi * (n * r / den))
+    return sign * math.sin(math.pi * (m / den)) / (n * math.sin(math.pi * t))
 
 
 def _factor(n: int, num: int, den: int) -> Optional[complex]:

@@ -382,10 +382,7 @@ def _finite_q(window: MeasureWindow, cs: CandidateSet, den: int,
 def q_function(window: MeasureWindow, cs: CandidateSet, xi: Fraction,
                eps: float = 1e-9) -> float:
     """Q(xi) = sum over the candidate set of |mu_hat(xi + lambda)|^2."""
-    if window.last is not None:
-        return q_grid(window, cs, xi, xi, Fraction(1))[0][1]
-    return sum(abs(evaluate_transform(window, xi + lam, eps).value) ** 2
-               for lam in cs)
+    return q_grid(window, cs, xi, xi, Fraction(1), eps)[0][1]
 
 
 def q_grid(window: MeasureWindow, cs: CandidateSet, start: Fraction,
@@ -410,7 +407,8 @@ def q_grid(window: MeasureWindow, cs: CandidateSet, start: Fraction,
     nums = range(first, first + count * stride, stride)
     xis = [Fraction(x, den) for x in nums]
     if window.last is None:
-        return [(xi, q_function(window, cs, xi, eps)) for xi in xis]
+        return [(xi, sum(abs(evaluate_transform(window, xi + lam, eps).value)
+                         ** 2 for lam in cs)) for xi in xis]
     return list(zip(xis, _finite_q(window, cs, den, nums)))
 
 
@@ -438,33 +436,27 @@ def spectrum_search(window: MeasureWindow,
     modulus = b_n * grid
     if modulus > 250_000:
         raise BudgetError(f"residue grid of size {modulus} is too large")
-
-    def in_zero_set(j: int) -> bool:
-        return j != 0 and zero_stratum(window, Fraction(j, grid)) is not None
-
-    good = [in_zero_set(j) for j in range(modulus)]
+    good = [j != 0 and zero_stratum(window, Fraction(j, grid)) is not None
+            for j in range(modulus)]
     vertices = [j for j in range(modulus) if j == 0 or good[j]]
     if len(vertices) > budget:
         raise BudgetError(f"{len(vertices)} vertices exceed budget {budget}")
 
     target, _ = window_atoms(window)
-    if target > len(vertices):
+    # depth-first over ascending candidates, so the first full clique is the
+    # smallest: frame k holds the vertices above clique[k] adjacent to all of
+    # clique[:k + 1] and the index of the next one to try, and is dropped
+    # once its untried vertices cannot complete the clique
+    clique, stack = [0], [(vertices[1:], 0)]
+    while 0 < len(clique) < target:
+        cands, i = stack.pop()
+        if len(clique) + len(cands) - i < target:
+            clique.pop()
+        else:
+            v = cands[i]
+            clique.append(v)
+            stack.append((cands, i + 1))
+            stack.append(([u for u in cands[i + 1:] if good[u - v]], 0))
+    if not clique:
         return None
-
-    def extend(clique: list[int], candidates: list[int]) -> Optional[list[int]]:
-        if len(clique) == target:
-            return clique
-        if len(clique) + len(candidates) < target:
-            return None
-        for i, v in enumerate(candidates):
-            rest = [u for u in candidates[i + 1:] if good[(u - v) % modulus]]
-            found = extend(clique + [v], rest)
-            if found is not None:
-                return found
-        return None
-
-    neighbours = [v for v in vertices if v != 0 and good[v % modulus]]
-    found = extend([0], neighbours)
-    if found is None:
-        return None
-    return CandidateSet.of(Fraction(j, grid) for j in found)
+    return CandidateSet.of(Fraction(j, grid) for j in clique)

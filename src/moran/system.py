@@ -224,7 +224,6 @@ class ConvergenceReport:
 @dataclass(frozen=True)
 class SupportInfo:
     diameter: Fraction
-    resolution: Fraction
 
 
 def _prefix_series(system: MoranSystem, upto: int,
@@ -283,11 +282,8 @@ def support_info(system: MoranSystem, n: Optional[int]) -> SupportInfo:
     if n is None:
         if not isinstance(system.tail, PeriodicTail):
             raise HorizonError("infinite support requires a periodic tail")
-        diameter = periodic_tail_series(system, weight)
-        return SupportInfo(diameter, Fraction(0))
-    diameter = _prefix_series(system, n, weight)
-    resolution = Fraction(system.level(n).scale, system.level_product(n))
-    return SupportInfo(diameter, resolution)
+        return SupportInfo(periodic_tail_series(system, weight))
+    return SupportInfo(_prefix_series(system, n, weight))
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,8 @@ import itertools
 import math
 from fractions import Fraction
 
+import mpmath
+
 
 def atoms_with_weights(system, first, last):
     """Atoms of the discrete window measure as {position: weight}."""
@@ -32,6 +34,24 @@ def transform_direct(system, first, last, xi):
     for pos, w in atoms_with_weights(system, first, last).items():
         total += float(w) * cmath.exp(-2j * math.pi * float(xi * pos))
     return total
+
+
+def transform_factor_product(system, first, last, xi):
+    """mu_hat(xi) of a finite window as the product of its factors' direct
+    sums in 30-digit mpmath; each argument a xi / B_k is first moved into
+    (-1/2, 1/2] exactly, so a factor stays accurate when its argument mod 1
+    is below the float range or near 1."""
+    b = running_products(system, last)
+    with mpmath.workdps(30):
+        total = mpmath.mpc(1)
+        for k in range(first, last + 1):
+            lev = system.level(k)
+            t = lev.scale * xi / b[k]
+            t -= math.floor(t + Fraction(1, 2))
+            t = mpmath.mpf(t.numerator) / t.denominator
+            total *= mpmath.fsum(mpmath.expj(-2 * mpmath.pi * j * t)
+                                 for j in range(lev.count)) / lev.count
+        return complex(total)
 
 
 def q_direct(system, first, last, lam_set, xi):
@@ -390,3 +410,41 @@ def search_complement_reference(digits, m):
         return None
 
     return fill(0, [])
+
+
+def spectrum_search_reference(window, budget=5000):
+    """The recursive clique search: the smallest full-cardinality clique
+    containing 0 among the residues mod B_n * lcm(a_k N_k) whose
+    differences lie in the zero set, or None."""
+    from moran.errors import BudgetError
+
+    system = window.system
+    b_n = running_products(system, window.last)[-1]
+    grid = math.lcm(*(system.level(k).scale * system.level(k).count
+                      for k in range(window.first, window.last + 1)))
+    modulus = b_n * grid
+    if modulus > 250_000:
+        raise BudgetError(f"residue grid of size {modulus} is too large")
+    good = [j != 0 and _in_zero_set(window, Fraction(j, grid))
+            for j in range(modulus)]
+    vertices = [j for j in range(modulus) if j == 0 or good[j]]
+    if len(vertices) > budget:
+        raise BudgetError(f"{len(vertices)} vertices exceed budget {budget}")
+    target = len(atoms_with_weights(system, window.first, window.last))
+    if target > len(vertices):
+        return None
+
+    def extend(clique, candidates):
+        if len(clique) == target:
+            return clique
+        if len(clique) + len(candidates) < target:
+            return None
+        for i, v in enumerate(candidates):
+            rest = [u for u in candidates[i + 1:] if good[(u - v) % modulus]]
+            found = extend(clique + [v], rest)
+            if found is not None:
+                return found
+        return None
+
+    found = extend([0], [v for v in vertices if v != 0])
+    return None if found is None else tuple(Fraction(j, grid) for j in found)

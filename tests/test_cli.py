@@ -112,6 +112,16 @@ def test_search(corpus):
     assert code == 0 and out == "NONE\n"
 
 
+def test_search_deep_clique(tmp_path):
+    # a 1,024-vertex clique: one search level per vertex
+    path = tmp_path / "ten.json"
+    path.write_text(json.dumps({"prefix": {"b": [2] * 10, "N": [2] * 10},
+                                "tail": {"kind": "none"}}), encoding="utf-8")
+    code, out, err = _cli_subprocess("search", str(path), "--level", "10")
+    assert (code, out, err) == (0, "".join(f"{j}\n" for j in range(1024)),
+                                "")
+
+
 def test_decompose(corpus):
     code, out, _ = _run(["decompose", corpus["quarter.json"], "--level", "2",
                          "--split", "1", "--lambda", corpus["spec.txt"]])
@@ -141,6 +151,15 @@ def test_qgrid_work_is_bounded(corpus):
         "--step", f"1/{10**12}")
     assert code == 2 and out == ""
     assert err.startswith("budget exceeded:") and "Traceback" not in err
+
+
+def test_qgrid_deep_level_finishes(corpus):
+    # at level 540, r / den of the deepest kernels is below the smallest float
+    code, out, err = _cli_subprocess(
+        "qgrid", corpus["quarter.json"], "--level", "540",
+        "--lambda", corpus["spec.txt"], "--from", "0", "--to", "0",
+        "--step", "1")
+    assert (code, out, err) == (0, "xi,Q\n0,1.0\n", "")
 
 
 def test_tile_verdicts(corpus):
@@ -242,6 +261,21 @@ def test_usage_errors(corpus):
     assert code == 1 and out == "" and err
     code, _, err = _run(["spectrum", corpus["quarter.json"]])
     assert code == 1 and "level" in err
+    code, out, err = _run(["qgrid", corpus["quarter.json"], "--level", "2",
+                           "--lambda", corpus["spec.txt"], "--from", "0",
+                           "--to", "1", "--step", "1", "--eps", "1e-9"])
+    assert code == 1 and out == "" and "--eps" in err
+
+
+def test_help_is_written_to_out(monkeypatch):
+    # one terminal width for argparse in this process and the subprocess
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err = _run(["--help"])
+    assert (code, err) == (0, "") and out.startswith("usage: moran [-h]")
+    assert _cli_subprocess("--help") == (0, out, "")
+    code, out, err = _run(["search", "--help"])
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: moran search") and "--budget" in out
 
 
 def test_input_errors(corpus, tmp_path):

@@ -77,6 +77,16 @@ def test_evaluate_matches_atom_oracle():
             assert abs(got.value - want) < 1e-10
 
 
+def test_evaluate_deep_window_matches_factor_product():
+    # from level 511 on, xi / 4^k mod 1 is within 2^-1022 of 0 or (for a
+    # negative xi) of 1, where each kernel sign must survive
+    for xi in (F(-1, 3), F(-5, 7), F(1, 3), F(7, 5)):
+        for last in (510, 511, 540):
+            got = evaluate_transform(MeasureWindow(QUARTER, 1, last), xi)
+            want = oracles.transform_factor_product(QUARTER, 1, last, xi)
+            assert abs(got.value - want) <= got.error_bound
+
+
 def test_evaluate_error_bound_scales_with_count():
     v = evaluate_transform(MeasureWindow(QUARTER, 1, 5), F(1, 3))
     assert v.error_bound <= 5 * FACTOR_EPS * 1.0000001

@@ -9,7 +9,7 @@ import json
 from fractions import Fraction as F
 
 import mpmath
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import oracles
 from moran.fourier import (FACTOR_EPS, PI_UPPER, MeasureWindow, ZeroStratumHit,
@@ -65,10 +65,37 @@ def kernel_arguments(draw):
     return n, r, den
 
 
+@st.composite
+def deep_kernel_arguments(draw):
+    """t = r/den around and below 2^-1022, the smallest normal float, or 1 - t
+    (the mirrored r): with r <= 64, t is subnormal or 0 as a float and n t
+    runs from 2^-40 to 2^8."""
+    den = draw(st.integers(2 ** 1030, 2 ** 1300))
+    edge = (den - 1) >> 1022  # r <= edge exactly when r/den < 2^-1022
+    r = draw(st.one_of(st.integers(1, 64), st.sampled_from([edge, edge + 1])))
+    if r > 64:  # t may round to 2^-1022, whose path needs n below 2^1024
+        n = draw(st.integers(1, 64))
+    else:
+        # n t = k 2^-(20 + s) with k in [2^20, 2^21): a random mantissa, so
+        # n t is rarely near an integer
+        k, s = draw(st.integers(2 ** 20, 2 ** 21)), draw(st.integers(-8, 40))
+        n = draw(st.one_of(st.integers(1, 64),
+                           st.just(den * k // r >> (20 + s))))
+    if draw(st.booleans()):
+        r = den - r  # t near 1: the kernel is (-1)^(n+1) times its 1 - t value
+    return n, r, den
+
+
 def _mp_kernel(n, r, den):
-    """Real signed magnitude of (1/N) sum_j e^{-2 pi i j t}, 50 digits."""
-    with mpmath.workdps(50):
+    """Real signed magnitude of (1/N) sum_j e^{-2 pi i j t}, 50 digits past
+    den's bits, so that t = r/den keeps 1 - t when r is near den."""
+    with mpmath.workprec(170 + den.bit_length()):
         t = mpmath.mpf(r) / den
+        if n > 64:
+            # too many terms to sum: sin(pi N t) / (N sin(pi t)), with N t
+            # reduced mod 2 exactly
+            return (mpmath.sin(mpmath.pi * mpmath.mpf(n * r % (2 * den)) / den)
+                    / (n * mpmath.sin(mpmath.pi * t)))
         total = mpmath.fsum(mpmath.expj(-2 * mpmath.pi * j * t)
                             for j in range(n)) / n
         # undo the phase e^{-pi i (N-1) t}; what remains is real
@@ -89,6 +116,24 @@ def test_kernel_within_factor_eps_of_mpmath(args):
 @settings(max_examples=200, deadline=None)
 def test_kernel_invariant_under_common_scaling(args, g):
     # int / int is correctly rounded, so g r / (g den) gives r / den's float
+    n, r, den = args
+    assert dirichlet(n, g * r, g * den) == dirichlet(n, r, den)
+
+
+@given(deep_kernel_arguments())
+@example((2, 2 ** 1030 - 1, 2 ** 1030))  # mirrored, even n: about -1
+@example((3, 2 ** 1030 - 1, 2 ** 1030))  # mirrored, odd n: about +1
+@example((2, 1, 2 ** 1030))
+@settings(max_examples=300, deadline=None)
+def test_deep_kernel_within_factor_eps_of_mpmath(args):
+    n, r, den = args
+    error = abs(mpmath.mpf(dirichlet(n, r, den)) - _mp_kernel(n, r, den))
+    assert error <= FACTOR_EPS
+
+
+@given(deep_kernel_arguments(), st.integers(2, 10 ** 30))
+@settings(max_examples=100, deadline=None)
+def test_deep_kernel_invariant_under_common_scaling(args, g):
     n, r, den = args
     assert dirichlet(n, g * r, g * den) == dirichlet(n, r, den)
 

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 from fractions import Fraction as F
 
@@ -6,7 +7,7 @@ import pytest
 
 import oracles
 from moran.errors import BudgetError, NotSpectralError
-from moran.fourier import MeasureWindow
+from moran.fourier import MeasureWindow, evaluate_transform
 from moran.spectra import (
     CARDINALITY_FAIL,
     MAX_QGRID_WORK,
@@ -234,6 +235,16 @@ def test_q_matches_direct_oracle():
             oracles.q_direct(MIXED, 1, 2, cs.elements, xi), abs=1e-9)
 
 
+def test_q_infinite_window_sums_transforms():
+    w = MeasureWindow(_sys((4, 4), (2, 2),
+                           tail='{"kind": "periodic", "b": [4], "N": [2]}'))
+    eps = 1e-12
+    for xi, q in q_grid(w, SPEC_2218, F(-1), F(1), F(1, 7), eps):
+        assert q == sum(abs(evaluate_transform(w, xi + lam, eps).value) ** 2
+                        for lam in SPEC_2218)
+        assert q_function(w, SPEC_2218, xi, eps) == q
+
+
 def test_q_bounded_by_one_for_bizero_sets():
     w = MeasureWindow(QUARTER, 1, 2)
     for cs in (SPEC_2218, CandidateSet.of([F(0), F(2)]),
@@ -269,6 +280,36 @@ def test_spectrum_search_agrees_with_brute_enumeration():
     found = spectrum_search(MeasureWindow(QUARTER, 1, 2))
     brute = oracles.enumerate_spectra(QUARTER, 2, 2, limit=1)
     assert brute and found.elements == min(brute)
+
+
+def _search_outcome(search, window, budget):
+    try:
+        found = search(window, budget)
+    except BudgetError as exc:
+        return "BudgetError", str(exc)
+    return None if found is None else tuple(found)
+
+
+def test_spectrum_search_matches_recursive_reference():
+    # small windows with point-mass levels (N = 1) and scales up to 3; an
+    # 8-vertex budget makes some of them raise BudgetError
+    rng = random.Random(7)
+    kinds = set()
+    for _ in range(200):
+        depth = rng.randint(1, 3)
+        b = [rng.randint(2, 4) for _ in range(depth)]
+        if math.prod(b) > 16:
+            continue
+        n = [rng.randint(1, 4) for _ in range(depth)]
+        scale = [rng.randint(1, 3) for _ in range(depth)]
+        window = MeasureWindow(_sys(b, n, scale), 1, depth)
+        budget = rng.choice([8, 5000, 5000, 5000])
+        got = _search_outcome(spectrum_search, window, budget)
+        assert got == _search_outcome(oracles.spectrum_search_reference,
+                                      window, budget), (b, n, scale)
+        kinds.add("none" if got is None else
+                  "budget" if got[0] == "BudgetError" else "found")
+    assert kinds == {"none", "budget", "found"}
 
 
 def test_spectrum_search_budget():
