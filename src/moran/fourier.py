@@ -77,13 +77,20 @@ def dirichlet(n: int, r: int, den: int) -> float:
     if 2 * r > den:
         r = den - r
     t = r / den
-    if t < 2.0 ** -1022:
-        # t is subnormal or 0 as a float: sin(pi t) = pi t to far below one
-        # ulp, n t is formed exactly, and sign is a mirrored r's (-1)^(n+1)
-        if (n * r) << 30 < den:
-            return sign  # the kernel is sign (1 - O((pi n t)^2)), n t < 2^-30
-        return sign * math.sin(math.pi * (m / den)) / (math.pi * (n * r / den))
-    return sign * math.sin(math.pi * (m / den)) / (n * math.sin(math.pi * t))
+    try:
+        if t < 2.0 ** -1022:
+            # t is subnormal or 0 as a float: sin(pi t) = pi t, n t is formed
+            # exactly, and sign is a mirrored r's (-1)^(n+1)
+            if (n * r) << 30 < den:
+                return sign  # n t < 2^-30: the kernel is sign to 2^-59
+            return sign * math.sin(math.pi * (m / den)) / (math.pi * (n * r / den))
+        return sign * math.sin(math.pi * (m / den)) / (n * math.sin(math.pi * t))
+    except OverflowError:
+        if t < 2.0 ** -1022:  # n t >= 2^1024: the kernel is below 2^-1025
+            return 0.0
+        e = n.bit_length() - 64  # n >= 2^1024 is h 2^e, h its top 64 bits
+        return math.ldexp(sign * math.sin(math.pi * (m / den))
+                          / ((n >> e) * math.sin(math.pi * t)), -e)
 
 
 def _factor(n: int, num: int, den: int) -> Optional[complex]:
@@ -93,7 +100,9 @@ def _factor(n: int, num: int, den: int) -> Optional[complex]:
         return complex(1.0)
     if n * r % den == 0:
         return None
-    return cmath.exp(-1j * math.pi * (n - 1) * (r / den)) * dirichlet(n, r, den)
+    # the phase exp(-pi i (n - 1) t), its argument reduced mod 2 exactly
+    return (cmath.exp(-1j * math.pi * ((n - 1) * r % (2 * den) / den))
+            * dirichlet(n, r, den))
 
 
 def factor_transform(level: DigitLevel, B: int, xi: Fraction) -> TransformValue:
@@ -151,9 +160,8 @@ def zero_set(window: MeasureWindow, den: int) -> Callable[[int], bool]:
     holds 0: answers are kept by |d| while the returned function lives."""
     system, memo = window.system, {0: False}
     levels = None if window.last is None else [
-        (den * system.level_product(k), lev.scale * lev.count, lev.count)
-        for k, lev in enumerate(system.levels(window.first, window.last),
-                                window.first)]
+        (den * big, lev.scale * lev.count, lev.count)
+        for big, lev in system.levels(window.first, window.last)]
 
     def in_zero_set(d: int) -> bool:
         d = abs(d)
@@ -203,10 +211,8 @@ def evaluate_transform(window: MeasureWindow, xi: Fraction,
     if window.last is not None:
         value = complex(1.0)
         p, q = xi.numerator, xi.denominator
-        for k in range(window.first, window.last + 1):
-            lev = system.level(k)
-            factor = _factor(lev.count, lev.scale * p,
-                             q * system.level_product(k))
+        for big, lev in system.levels(window.first, window.last):
+            factor = _factor(lev.count, lev.scale * p, q * big)
             if factor is None:
                 return TransformValue(complex(0.0), 0.0, True)
             value *= factor

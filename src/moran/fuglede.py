@@ -37,7 +37,7 @@ def fuglede_report(system: MoranSystem, n: int) -> FugledeReport:
     [0, N_1/b_1].  The identity is read from the certificate:
     canonical_complement counts it and raises InvariantError otherwise.
     """
-    if any(lev.scale != 1 for lev in system.levels(1, n)):
+    if any(system.level(k).scale != 1 for k in range(1, n + 1)):
         raise ValueError("fuglede report requires unit scales")
     first = system.level(1)
     interval = (Fraction(0), Fraction(first.count, first.base))

@@ -22,7 +22,6 @@ from .system import (FormulaTail, MoranSystem, PeriodicTail,
                      format_rational, parse_rational, sumset_counts)
 
 SPECTRUM = "Spectrum"
-BIZERO_ONLY = "BiZeroOnly"
 ORTHOGONALITY_FAIL = "OrthogonalityFail"
 CARDINALITY_FAIL = "CardinalityFail"
 
@@ -157,13 +156,12 @@ def canonical_spectrum(system: MoranSystem, n: int) -> CandidateSet:
     j = first_nondividing_level(system, n)
     if j is not None:
         raise NotSpectralError(j)
-    levels = list(system.levels(1, n))
-    den = math.lcm(*(lev.scale * lev.count for lev in levels))
-    # level k adds (B_k / (a_k N_k)) {0, ..., N_k - 1}: steps over den
-    steps = [(lev.count,
-              system.level_product(k) * den // (lev.scale * lev.count))
-             for k, lev in enumerate(levels, 1)]
-    sums = sumset_counts(range(0, count * step, step) for count, step in steps)
+    rows = system.levels(1, n)
+    den = math.lcm(*(lev.scale * lev.count for _, lev in rows))
+    # level k adds (B_k / (a_k N_k)) {0, ..., N_k - 1}, over den
+    sums = sumset_counts(
+        range(0, big * den // lev.scale, big * den // (lev.scale * lev.count))
+        for big, lev in rows)
     if any(mult != 1 for mult in sums.values()):
         raise InvariantError("canonical spectrum summands collide")
     cs = CandidateSet(tuple(Fraction(x, den) for x in sorted(sums)))
@@ -356,10 +354,8 @@ def _finite_q(window: MeasureWindow, cs: CandidateSet, den: int,
     den B_k; so each (level, class) column is computed once per block of
     QGRID_BLOCK points, and each lambda's columns are multiplied in level
     order and summed in candidate order, as point by point."""
-    system = window.system
-    levels = [(lev.scale, lev.count, den * system.level_product(k))
-              for k, lev in enumerate(system.levels(window.first, window.last),
-                                      window.first)]
+    levels = [(lev.scale, lev.count, den * big)
+              for big, lev in window.system.levels(window.first, window.last)]
     classes = [[(k, a * (lam.numerator * (den // lam.denominator)) % d)
                 for k, (a, _, d) in enumerate(levels)] for lam in cs]
     for i in range(0, len(nums), QGRID_BLOCK):
@@ -429,11 +425,9 @@ def spectrum_search(window: MeasureWindow,
     """
     if window.last is None:
         raise ValueError("spectrum search requires a finite window")
-    system = window.system
-    b_n = system.level_product(window.last)
-    grid = math.lcm(*(lev.scale * lev.count
-                      for lev in system.levels(window.first, window.last)))
-    modulus = b_n * grid
+    rows = window.system.levels(window.first, window.last)
+    grid = math.lcm(*(lev.scale * lev.count for _, lev in rows))
+    modulus = rows[-1][0] * grid  # B_n lcm(a_k N_k)
     if modulus > 250_000:
         raise BudgetError(f"residue grid of size {modulus} is too large")
     good = [j != 0 and zero_stratum(window, Fraction(j, grid)) is not None

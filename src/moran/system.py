@@ -13,19 +13,17 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .errors import HorizonError, ParseError
 
 CONVERGENT = "Convergent"
 DIVERGENT = "Divergent"
-UNKNOWN = "Unknown"
 
 # certificate tags for convergence reports
 GEOMETRIC_RATIO = "geometric-ratio"
 RATIO_TEST = "ratio-test"
 NONVANISHING_TERMS = "nonvanishing-terms"
-BOUNDED_BY_COROLLARY = "bounded-by-corollary"
 FINITE_PREFIX = "finite-prefix"
 
 
@@ -116,8 +114,8 @@ class MoranSystem:
         # tiling complements of N_j = b_j systems degenerate to Diracs
         if self.tail is not None and not self._has_nontrivial_level():
             raise ValueError("at least one level must have count >= 2")
-        # level table B_0, B_1, ...: extended on demand by level_product
-        object.__setattr__(self, "_products", [1])
+        # level table: row k is (B_k, level k), extended on demand by levels
+        object.__setattr__(self, "_rows", [(1, None)])
 
     def _has_nontrivial_level(self) -> bool:
         if any(lev.count >= 2 for lev in self.prefix):
@@ -148,20 +146,24 @@ class MoranSystem:
             return block[(n - p - 1) % len(block)]
         return DigitLevel(self.tail.base, self.tail.count_at(n), 1)
 
-    def levels(self, first: int, last: int) -> Iterator[DigitLevel]:
-        for n in range(first, last + 1):
-            yield self.level(n)
+    def levels(self, first: int, last: int) -> list[tuple[int, DigitLevel]]:
+        """Rows (B_k, level k), k = first..last, B_k = b_1 * ... * b_k."""
+        if first < 1:
+            raise ValueError(f"level index must be >= 1, got {first}")
+        rows = self._rows
+        if len(rows) <= last:
+            # publish an extended copy: no reader sees a half-built table
+            rows = rows[:]
+            while len(rows) <= last:
+                lev = self.level(len(rows))
+                rows.append((rows[-1][0] * lev.base, lev))
+            object.__setattr__(self, "_rows", rows)
+        return rows[first:last + 1]
 
     def level_product(self, n: int) -> int:
-        """B_n = b_1 * ... * b_n, exactly (B_0 = 1)."""
-        table = self._products
-        if len(table) <= n:
-            # publish an extended copy: no reader sees a half-built table
-            table = table[:]
-            while len(table) <= n:
-                table.append(table[-1] * self.level(len(table)).base)
-            object.__setattr__(self, "_products", table)
-        return table[n] if n >= 0 else 1
+        """B_n, read from row n of the level table (B_0 = 1)."""
+        rows = self._rows
+        return rows[n][0] if 0 <= n < len(rows) else self.levels(n, n)[0][0]
 
     @cached_property
     def _tail_constants(self) -> list[Fraction]:
@@ -191,12 +193,9 @@ def first_nondividing_level(system: MoranSystem, last: int) -> Optional[int]:
 def digit_progressions(system: MoranSystem, first: int,
                        last: int) -> list[range]:
     """B_last (a_k / B_k) {0, ..., N_k - 1} for k = first..last, as ranges."""
-    b_last, out = system.level_product(last), []
-    for k in range(first, last + 1):
-        lev = system.level(k)
-        step = lev.scale * (b_last // system.level_product(k))
-        out.append(range(0, lev.count * step, step))
-    return out
+    rows = system.levels(first, last)
+    steps = [(lev.count, lev.scale * (rows[-1][0] // big)) for big, lev in rows]
+    return [range(0, count * step, step) for count, step in steps]
 
 
 def sumset_counts(summands: Iterable[Sequence[int]]) -> dict[int, int]:
@@ -228,8 +227,8 @@ class SupportInfo:
 
 def _prefix_series(system: MoranSystem, upto: int,
                    numer: Callable[[DigitLevel], int]) -> Fraction:
-    return sum((Fraction(numer(system.level(k)), system.level_product(k))
-                for k in range(1, upto + 1)), Fraction(0))
+    return sum((Fraction(numer(lev), big)
+                for big, lev in system.levels(1, upto)), Fraction(0))
 
 
 def periodic_tail_series(system: MoranSystem,

@@ -70,19 +70,19 @@ def canonical_complement(system: MoranSystem, n: int
     Requires unit scales and N_j | b_j for 2 <= j <= n; the direct-sum
     identity D_n (+) C_n = {0, ..., L-1} is verified before returning.
     """
-    if any(lev.scale != 1 for lev in system.levels(1, n)):
+    if n < 1:
+        raise ValueError(f"level must be >= 1, got {n}")
+    if any(system.level(k).scale != 1 for k in range(1, n + 1)):
         raise ValueError("canonical complement requires unit scales")
     j = first_nondividing_level(system, n)
     if j is not None:
         raise NotSpectralError(j)
-    first = system.level(1)
-    levels = [DigitLevel(first.base, 1, 1)]
-    length = first.count
-    for j in range(2, n + 1):
-        lev = system.level(j)
-        levels.append(DigitLevel(lev.base, lev.base // lev.count, lev.count))
-        length *= lev.base
-    complement = MoranSystem(tuple(levels))
+    rows = system.levels(1, n)
+    b_1, first = rows[0]
+    complement = MoranSystem((DigitLevel(b_1, 1, 1),) + tuple(
+        DigitLevel(lev.base, lev.base // lev.count, lev.count)
+        for _, lev in rows[1:]))
+    length = first.count * (rows[-1][0] // b_1)  # L = N_1 B_n / b_1
     if not convolve_uniform_check(iterated_digits(system, n).elements,
                                   iterated_digits(complement, n).elements,
                                   length):

@@ -162,6 +162,21 @@ def test_qgrid_deep_level_finishes(corpus):
     assert (code, out, err) == (0, "xi,Q\n0,1.0\n", "")
 
 
+def test_qgrid_huge_digit_count(tmp_path):
+    # N = 2^1024 is past the float range; t = 1/96 is a normal float
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(
+        {"prefix": {"b": [2 ** 1030], "N": [2 ** 1024]},
+         "tail": {"kind": "none"}}), encoding="utf-8")
+    lam = tmp_path / "zero.txt"
+    lam.write_text("0\n", encoding="utf-8")
+    xi = f"{2 ** 1025}/3"
+    code, out, err = _cli_subprocess(
+        "qgrid", str(path), "--level", "1", "--lambda", str(lam),
+        "--from", xi, "--to", xi, "--step", "1")
+    assert (code, out, err) == (0, f"xi,Q\n{xi},0.0\n", "")
+
+
 def test_tile_verdicts(corpus):
     code, out, _ = _run(["tile", corpus["tile.txt"]])
     assert code == 0 and out == "TILE m=16 complement=0,2,4,6\n"
@@ -169,6 +184,28 @@ def test_tile_verdicts(corpus):
     assert code == 0 and out == "NOTTILE T1 A(1)=4 prod=2\n"
     code, out, _ = _run(["tile", corpus["gap.txt"], "--max-period", "2"])
     assert code == 2 and out == "UNKNOWN m_max=2\n"
+
+
+def test_tile_window_certificate(tmp_path):
+    # T1 holds, but no packing of translates covers [0, 36)
+    path = tmp_path / "window.txt"
+    path.write_text("".join(f"{d}\n" for d in (0, 1, 2, 5, 6, 7, 10, 11, 12,
+                                                15, 16, 17)), encoding="utf-8")
+    assert _run(["tile", str(path)]) == (0, "NOTTILE WINDOW width=36\n", "")
+
+
+def test_tile_digit_file_format(tmp_path):
+    path = tmp_path / "digits.txt"
+    path.write_text("# the tile {0, 1, 8, 9}\n0\n1\n\n8\n9\n",
+                    encoding="utf-8")
+    assert _run(["tile", str(path)]) == \
+        (0, "TILE m=16 complement=0,2,4,6\n", "")
+    path.write_text("0\nx\n", encoding="utf-8")
+    assert _run(["tile", str(path)]) == \
+        (1, "", "error: line 2: not an integer: 'x'\n")
+    path.write_text("0\n-3\n", encoding="utf-8")
+    assert _run(["tile", str(path)]) == \
+        (1, "", "error: line 2: digits must be nonnegative\n")
 
 
 def test_tile_deep_window_search(tmp_path):
@@ -226,6 +263,8 @@ def test_complement(corpus):
     code, out, _ = _run(["complement", corpus["nonspectral.json"],
                          "--level", "2"])
     assert code == 0 and out == "NOTSPECTRAL level=2\n"
+    assert _run(["complement", corpus["quarter.json"], "--level", "0"]) == \
+        (1, "", "error: level must be >= 1, got 0\n")
 
 
 def test_fuglede_text_and_json(corpus):

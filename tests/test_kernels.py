@@ -1,8 +1,10 @@
 """The integer kernels against independent references.
 
-The Dirichlet kernel is checked against a 50-digit mpmath exponential sum;
-the truncation cutoff, the zero-stratum test and Q grids are checked
-against the Fraction-based references in oracles.py, with exact equality.
+The Dirichlet kernel and the complex factor are checked against mpmath at
+170 bits past den's bit length (an exponential sum for N <= 64, the closed
+form above); the truncation cutoff, the zero-stratum test and Q grids are
+checked against the Fraction-based references in oracles.py, with exact
+equality.
 """
 
 import json
@@ -13,7 +15,8 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 import oracles
 from moran.fourier import (FACTOR_EPS, PI_UPPER, MeasureWindow, ZeroStratumHit,
-                           _truncation_cutoff, dirichlet, zero_stratum)
+                           _factor, _truncation_cutoff, dirichlet,
+                           zero_stratum)
 from moran.spectra import QGRID_BLOCK, CandidateSet, q_function, q_grid
 from moran.system import parse_system
 
@@ -86,8 +89,32 @@ def deep_kernel_arguments(draw):
     return n, r, den
 
 
+@st.composite
+def huge_count_kernel_arguments(draw):
+    """n past the float range, with t = r/den about 2^-shift: normal with
+    n t from 2^2 to 2^20; subnormal with n t from 2^-40 to 2^78; or, with n
+    about 2^2100, n t about 2^1000 to 2^1080, past the float range too, and
+    t normal, subnormal or 0 as a float.  r is mirrored half of the time."""
+    regime = draw(st.sampled_from(["normal", "subnormal", "overflow"]))
+    if regime == "normal":
+        bits = draw(st.integers(1025, 1042))
+        shift = draw(st.integers(bits - 20, 1022))
+    elif regime == "subnormal":
+        bits = draw(st.integers(1025, 1101))
+        shift = draw(st.integers(1023, bits + 40))
+    else:
+        bits = draw(st.integers(2095, 2105))
+        shift = bits - draw(st.integers(1000, 1080))
+    n = draw(st.integers(2 ** (bits - 1), 2 ** bits - 1))
+    den = draw(st.integers(2 ** (shift + 8), 2 ** (shift + 200)))
+    r = draw(st.integers(den >> shift, den >> (shift - 1)))
+    if draw(st.booleans()):
+        r = den - r
+    return n, r, den
+
+
 def _mp_kernel(n, r, den):
-    """Real signed magnitude of (1/N) sum_j e^{-2 pi i j t}, 50 digits past
+    """Real signed magnitude of (1/N) sum_j e^{-2 pi i j t}, 170 bits past
     den's bits, so that t = r/den keeps 1 - t when r is near den."""
     with mpmath.workprec(170 + den.bit_length()):
         t = mpmath.mpf(r) / den
@@ -136,6 +163,43 @@ def test_deep_kernel_within_factor_eps_of_mpmath(args):
 def test_deep_kernel_invariant_under_common_scaling(args, g):
     n, r, den = args
     assert dirichlet(n, g * r, g * den) == dirichlet(n, r, den)
+
+
+@given(huge_count_kernel_arguments())
+@example((2 ** 1024, 2 ** 1025, 3 * 2 ** 1030))  # t = 1/96, normal
+@example((2 ** 2100 + 1, 5, 3 * 2 ** 1070 + 1))  # t subnormal, n t > 2^1024
+@example((2 ** 2100 + 1, 3 * 2 ** 1070 - 4, 3 * 2 ** 1070 + 1))  # mirrored
+@example((2 ** 2110 + 3, 1, 2 ** 1080 + 7))  # t rounds to 0.0
+@settings(max_examples=300, deadline=None)
+def test_huge_count_kernel_within_factor_eps_of_mpmath(args):
+    n, r, den = args
+    error = abs(mpmath.mpf(dirichlet(n, r, den)) - _mp_kernel(n, r, den))
+    assert error <= FACTOR_EPS
+
+
+@st.composite
+def factor_arguments(draw):
+    n = draw(st.one_of(st.sampled_from([12, 128, 10 ** 6]),
+                       st.integers(1, 10 ** 6)))
+    den = draw(st.integers(2, 10 ** 15))
+    r = draw(st.one_of(st.integers(1, den - 1),
+                       st.sampled_from([1, den - 1])))
+    return n, r, den
+
+
+@given(factor_arguments())
+@example((12, 5, 7))
+@example((2 ** 1024, 1, 3 * 2 ** 1030))  # N past the float range
+@settings(max_examples=300, deadline=None)
+def test_factor_within_factor_eps_of_mpmath(args):
+    # the complex factor: the phase e^{-pi i (N-1) t} times the kernel
+    n, r, den = args
+    value = _factor(n, r, den)
+    assume(value is not None)
+    with mpmath.workprec(170 + den.bit_length()):
+        phase = mpmath.expj(-mpmath.pi * (n - 1) * mpmath.mpf(r) / den)
+        error = abs(mpmath.mpc(value) - phase * _mp_kernel(n, r, den))
+    assert error <= FACTOR_EPS
 
 
 # ---------------------------------------------------------------------------

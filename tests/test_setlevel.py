@@ -140,8 +140,8 @@ def spectral_splits(draw):
                      count, 1))
     system = _system([first] + rest)
     elems = [F(0)]
-    for k, lev in enumerate(system.levels(1, n), 1):
-        step = F(system.level_product(k), lev.scale * lev.count)
+    for big, lev in system.levels(1, n):
+        step = F(big, lev.scale * lev.count)
         elems = [e + d * step for e in elems for d in range(lev.count)]
     period = system.level_product(n)
     spectrum = CandidateSet.of(

@@ -95,7 +95,18 @@ def test_level_table_leaves_identity_alone():
     assert a.level_product(40) == 4 ** 40
     assert a.tail_constant(41) == F(1, 3)      # sum_{j>=1} 4^-j
     assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
-    assert b._products == [1] and "_tail_constants" not in vars(b)
+    assert b._rows == [(1, None)] and "_tail_constants" not in vars(b)
+
+
+def test_levels_are_rows_of_the_level_table():
+    sys_ = parse_system(serialize_system(MIXED))
+    sys_.level(2)  # a lookup: the table stays unextended
+    assert sys_._rows == [(1, None)]
+    assert sys_.levels(2, 2) == [(24, DigitLevel(6, 2))]
+    assert sys_.levels(1, 2) == [(4, DigitLevel(4, 3)), (24, DigitLevel(6, 2))]
+    assert sys_._rows[0] == (1, None) and sys_.level_product(0) == 1
+    with pytest.raises(ValueError):
+        sys_.levels(0, 2)
 
 
 def test_level_table_shared_between_threads():

@@ -114,6 +114,9 @@ def test_is_integer_tile_examples():
     v = is_integer_tile((0, 1))
     assert v.kind == "Tile" and v.period == 2 and v.complement == (0,)
 
+    v = is_integer_tile([0])
+    assert v.kind == "Tile" and v.period == 1 and v.complement == (0,)
+
 
 def test_is_integer_tile_gap_four():
     # {0,4}: Phi_8 divides 1 + x^4 even though 8 > max(D) + 1
@@ -209,6 +212,21 @@ def test_mask_bound_edges():
 def test_unknown_verdict_when_period_capped():
     v = is_integer_tile((0, 2), m_max=2)
     assert v.kind == "Unknown" and v.searched_up_to == 2
+
+
+def test_unknown_verdict_after_every_period_fails():
+    # S_A = {2, 3}: T1 holds, the window is not refuted, and the periods 6,
+    # 12, ..., 36 all fail: four fold two digits together, and Z_24 and
+    # Z_30 hold no complement
+    dset = (0, 19, 23, 36, 40, 59)
+    v = is_integer_tile(dset, m_max=36)
+    assert (v.kind, v.searched_up_to) == ("Unknown", 36)
+    assert _prime_power_divisors(dset) == {2: 2, 3: 3}
+    reduced = {m: sorted({d % m for d in dset}) for m in range(6, 37, 6)}
+    assert [m for m, r in reduced.items() if len(r) < len(dset)] == \
+        [6, 12, 18, 36]
+    for m in (24, 30):
+        assert oracles.search_complement_reference(reduced[m], m) is None
 
 
 def test_tile_verdicts_reverify():
