@@ -118,15 +118,6 @@ def factor_transform(level: DigitLevel, B: int, xi: Fraction) -> TransformValue:
     return TransformValue(value, FACTOR_EPS if num % den else 0.0, False)
 
 
-def _multiplier(num: int, den: int, n: int) -> int:
-    """The stratum rule: num/den = lam a_k N_k / B_k if that is an integer
-    outside n Z (n = N_k), else 0."""
-    if num % den:
-        return 0
-    m = num // den
-    return m if m % n else 0
-
-
 def zero_stratum(window: MeasureWindow, lam: Fraction) -> Optional[ZeroStratumHit]:
     """Smallest level k in the window whose zero stratum contains lam."""
     system, first, last = window.system, window.first, window.last
@@ -146,22 +137,32 @@ def zero_stratum(window: MeasureWindow, lam: Fraction) -> Optional[ZeroStratumHi
         den *= lev.base
         if last is None and k > prefix and den > bound:
             return None
-        m = _multiplier(p * lev.scale * lev.count, den, lev.count)
-        if m:
-            return ZeroStratumHit(k, m)
+        num = p * lev.scale * lev.count
+        if num % den == 0 and num // den % lev.count:
+            return ZeroStratumHit(k, num // den)
     return None
+
+
+def stratum_moduli(window: MeasureWindow, den: int) -> list[tuple[int, int]]:
+    """(g_k, h_k) per level of a finite window: d/den is in level k's zero
+    stratum iff g_k | d and h_k does not divide d: g_k is the least d > 0
+    with d a_k N_k / (den B_k) an integer, h_k the least with it in N_k Z."""
+    moduli = []
+    for big, lev in window.system.levels(window.first, window.last):
+        d, an = den * big, lev.scale * lev.count
+        moduli.append((d // math.gcd(d, an),
+                       d * lev.count // math.gcd(d * lev.count, an)))
+    return moduli
 
 
 def zero_set(window: MeasureWindow, den: int) -> Callable[[int], bool]:
     """Test d -> (d/den is in the window's zero set) on integers d.
 
-    A finite window fixes its levels' (den B_k, a_k N_k, N_k) once; an
-    infinite one asks zero_stratum.  The zero set is symmetric and never
-    holds 0: answers are kept by |d| while the returned function lives."""
-    system, memo = window.system, {0: False}
-    levels = None if window.last is None else [
-        (den * big, lev.scale * lev.count, lev.count)
-        for big, lev in system.levels(window.first, window.last)]
+    A finite window fixes its levels' stratum moduli once; an infinite one
+    asks zero_stratum.  The zero set is symmetric and never holds 0:
+    answers are kept by |d| while the returned function lives."""
+    memo = {0: False}
+    levels = None if window.last is None else stratum_moduli(window, den)
 
     def in_zero_set(d: int) -> bool:
         d = abs(d)
@@ -170,8 +171,8 @@ def zero_set(window: MeasureWindow, den: int) -> Callable[[int], bool]:
             if levels is None:
                 hit = zero_stratum(window, Fraction(d, den)) is not None
             else:
-                for big, an, n in levels:
-                    if _multiplier(d * an, big, n):
+                for g, h in levels:
+                    if d % g == 0 and d % h:
                         hit = True
                         break
                 else:

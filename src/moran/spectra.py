@@ -16,7 +16,7 @@ from typing import Iterable, Iterator, Optional
 
 from .errors import BudgetError, InvariantError, NotSpectralError, ParseError
 from .fourier import (MeasureWindow, dirichlet, evaluate_transform,
-                      zero_set, zero_stratum)
+                      stratum_moduli, zero_set, zero_stratum)
 from .system import (FormulaTail, MoranSystem, PeriodicTail,
                      digit_progressions, first_nondividing_level,
                      format_rational, parse_rational, sumset_counts)
@@ -90,6 +90,12 @@ def window_atoms(window: MeasureWindow) -> tuple[int, bool]:
     """(number of distinct atoms, collision flag) of a finite window."""
     if window.last is None:
         raise ValueError("atom counting needs a finite window")
+    rows = window.system.levels(window.first, window.last)
+    if (all(lev.scale == 1 for _, lev in rows)
+            and all(lev.count <= lev.base for _, lev in rows[1:])):
+        # B_last times an atom is a mixed-radix numeral (digit k < b_k past
+        # the first level), so the prod N_k atoms are distinct
+        return math.prod(lev.count for _, lev in rows), False
     sums = sumset_counts(
         digit_progressions(window.system, window.first, window.last))
     return len(sums), sum(sums.values()) != len(sums)
@@ -102,6 +108,28 @@ def _integers(*sets: Iterable[Fraction]) -> tuple[int, list[list[int]]]:
                  for s in sets]
 
 
+def _nested_moduli(window: MeasureWindow,
+                   den: int) -> Optional[list[tuple[int, int]]]:
+    """A finite window's stratum moduli over den if h_k | g_{k+1} (the strata
+    nest), else None.  Nested, d/den is in the zero set iff g_k | d at the
+    first k with h_k not dividing d, so it depends on d mod the last h."""
+    moduli = window.last is not None and stratum_moduli(window, den)
+    if moduli and all(g % h == 0 for (_, h), (g, _) in zip(moduli, moduli[1:])):
+        return moduli
+    return None
+
+
+def _refines(nums: list[int], moduli: list[tuple[int, int]]) -> bool:
+    """Bi-zero test on nested moduli: each class of nums mod h_{k-1} (h_0 = 1)
+    is one class mod g_k, and the classes mod the last h are singletons."""
+    count = min(len(nums), 1)
+    for g, h in moduli:
+        if len({x % g for x in nums}) != count:
+            return False
+        count = len({x % h for x in nums})
+    return count == len(nums)
+
+
 def is_bizero(window: MeasureWindow, cs: CandidateSet
               ) -> tuple[bool, Optional[tuple[Fraction, Fraction]]]:
     """All nonzero pairwise differences lie in the window's zero set.
@@ -109,6 +137,9 @@ def is_bizero(window: MeasureWindow, cs: CandidateSet
     On failure returns the lexicographically first violating pair.
     """
     den, (nums,) = _integers(cs)
+    moduli = _nested_moduli(window, den)
+    if moduli is not None and _refines(nums, moduli):
+        return True, None
     in_zero_set = zero_set(window, den)
     for i, x in enumerate(nums):
         for j in range(i + 1, len(nums)):
@@ -209,11 +240,16 @@ def maximal_bizero_subset(window_head: MeasureWindow,
         raise ValueError("candidate set must contain 0")
     den, (nums,) = _integers(cs)
     in_zero_set = zero_set(window_head, den)
-    kept, kept_nums = [Fraction(0)], [0]
+    moduli = _nested_moduli(window_head, den)
+    # nested: an element fails iff the first of its class mod the last h did
+    h = moduli[-1][1] if moduli else 0
+    kept, kept_nums, seen = [Fraction(0)], [0], {0}
     for lam, x in zip(cs, nums):
-        if x and all(in_zero_set(x - a) for a in kept_nums):
-            kept.append(lam)
-            kept_nums.append(x)
+        if (key := x % h if h else x) not in seen:
+            seen.add(key)
+            if all(in_zero_set(x - a) for a in kept_nums):
+                kept.append(lam)
+                kept_nums.append(x)
     return CandidateSet.of(kept)
 
 
@@ -242,11 +278,20 @@ def suitable_decomposition(system: MoranSystem, n: int, k: int,
     head = maximal_bizero_subset(nu, cs)
     parts: dict[Fraction, list[Fraction]] = {a: [a] for a in head}
     den, (nums, head_nums) = _integers(cs, head)
-    in_nu, in_omega = zero_set(nu, den), zero_set(omega, den)
-    for lam, x in zip(cs, nums):
-        for a, y in zip(head, head_nums):
-            if x != y and in_omega(x - y) and not in_nu(x - y):
-                parts[a].append(lam)
+    moduli = _nested_moduli(whole, den)
+    if moduli is not None:
+        # nested, x - y in Z(1..n): it is in Z(omega) \ Z(nu) iff h_k | x - y
+        h = moduli[k - 1][1]
+        heads = {y % h: a for a, y in zip(head, head_nums)}
+        for lam, x in zip(cs, nums):
+            if (a := heads.get(x % h)) is not None:
+                parts[a].append(lam)  # a itself again: CandidateSet.of dedups
+    else:
+        in_nu, in_omega = zero_set(nu, den), zero_set(omega, den)
+        for lam, x in zip(cs, nums):
+            for a, y in zip(head, head_nums):
+                if x != y and in_omega(x - y) and not in_nu(x - y):
+                    parts[a].append(lam)
     sets = {a: CandidateSet.of(vals) for a, vals in parts.items()}
     covered = sorted(x for s in sets.values() for x in s)
     if covered != list(cs):
@@ -315,9 +360,17 @@ def verify_decomposition(result: DecompositionResult) -> DecompositionReport:
 
     den, nums = _integers(result.candidate, result.head,
                           *(s for _, s in items))
-    witness = next(_containment_witnesses(
-        [(a, s.elements, x) for (a, s), x in zip(items, nums[2:])],
-        zero_set(nu, den), zero_set(omega, den)), None)
+    parts = [(a, s.elements, x) for (a, s), x in zip(items, nums[2:])]
+    moduli = _nested_moduli(MeasureWindow(system, 1, n), den)
+    # nested: it holds iff each part is bi-zero on omega (so one class mod h_k)
+    # and one element per part is on nu (then so is each cross difference)
+    if (moduli is not None
+            and all(_refines(x, moduli[k:]) for _, _, x in parts)
+            and _refines([x[0] for _, _, x in parts if x], moduli[:k])):
+        witness = None
+    else:
+        witness = next(_containment_witnesses(
+            parts, zero_set(nu, den), zero_set(omega, den)), None)
     clauses.append(ClauseCheck("containments", witness is None, witness))
     return DecompositionReport(tuple(clauses))
 

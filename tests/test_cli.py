@@ -177,6 +177,30 @@ def test_qgrid_huge_digit_count(tmp_path):
     assert (code, out, err) == (0, f"xi,Q\n{xi},0.0\n", "")
 
 
+def test_check_spectrum_counts_atoms_without_enumerating(tmp_path):
+    # 2^1024 atoms at level 1, and 2^60 at level 60 of b = N = 2
+    huge = tmp_path / "huge.json"
+    huge.write_text(json.dumps(
+        {"prefix": {"b": [2 ** 1030, 4], "N": [2 ** 1024, 2]},
+         "tail": {"kind": "periodic", "b": [4], "N": [2]}}), encoding="utf-8")
+    binary = tmp_path / "binary.json"
+    binary.write_text(json.dumps(
+        {"prefix": {"b": [2], "N": [2]},
+         "tail": {"kind": "periodic", "b": [2], "N": [2]}}), encoding="utf-8")
+    lam = tmp_path / "lam.txt"
+    lam.write_text("0\n", encoding="utf-8")
+    code, out, err = _cli_subprocess("check-spectrum", str(huge), "--level",
+                                     "1", "--lambda", str(lam))
+    assert (code, out, err) == (0, f"status: CardinalityFail\n"
+                                f"atoms: {2 ** 1024}\ncardinality: 1\n", "")
+    lam.write_text("0\n1/2\n", encoding="utf-8")
+    code, out, err = _cli_subprocess("check-spectrum", str(binary), "--level",
+                                     "60", "--lambda", str(lam))
+    assert (code, out, err) == (0, f"status: OrthogonalityFail\n"
+                                f"atoms: {2 ** 60}\ncardinality: 2\n"
+                                "violating-pair: 0 1/2\n", "")
+
+
 def test_tile_verdicts(corpus):
     code, out, _ = _run(["tile", corpus["tile.txt"]])
     assert code == 0 and out == "TILE m=16 complement=0,2,4,6\n"

@@ -8,6 +8,7 @@ equality.
 """
 
 import json
+import math
 from fractions import Fraction as F
 
 import mpmath
@@ -16,7 +17,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 import oracles
 from moran.fourier import (FACTOR_EPS, PI_UPPER, MeasureWindow, ZeroStratumHit,
                            _factor, _truncation_cutoff, dirichlet,
-                           zero_stratum)
+                           stratum_moduli, zero_stratum)
 from moran.spectra import QGRID_BLOCK, CandidateSet, q_function, q_grid
 from moran.system import parse_system
 
@@ -265,6 +266,53 @@ def test_zero_stratum_matches_fraction_reference(data):
     want = oracles.zero_stratum_reference(window, lam)
     got = zero_stratum(window, lam)
     assert got == (None if want is None else ZeroStratumHit(*want))
+
+
+@st.composite
+def stratum_moduli_cases(draw):
+    """(levels, den, ds): 1-3 levels with scales up to 3 and point masses,
+    den B_k past 2^64 in a third of the draws, and integers d on and off the
+    levels' stratum lattices."""
+    levels = draw(st.lists(st.tuples(
+        st.one_of(st.integers(2, 12), st.integers(2 ** 64, 2 ** 70)),
+        st.integers(1, 6), st.sampled_from([1, 1, 2, 3])),
+        min_size=1, max_size=3))
+    den = draw(st.sampled_from([1, 2, 3, 6, 12, 35]))
+    system = parse_system(json.dumps({
+        "prefix": {"b": [b for b, _, _ in levels],
+                   "N": [n for _, n, _ in levels],
+                   "scale": [a for _, _, a in levels]},
+        "tail": {"kind": "none"}}))
+    b = oracles.running_products(system, len(levels))
+    ds = draw(st.lists(st.integers(-10 ** 6, 10 ** 6), max_size=6))
+    for k, (_, n, a) in enumerate(levels, 1):
+        lattice = den * b[k] // math.gcd(den * b[k], a * n)
+        ds += [lattice * draw(st.integers(-3 * n, 3 * n)) for _ in range(3)]
+    return system, den, ds
+
+
+@given(stratum_moduli_cases())
+@example((parse_system('{"prefix": {"b": [18446744073709551617, 4], '
+                       '"N": [3, 1], "scale": [2, 3]}, '
+                       '"tail": {"kind": "none"}}'), 6,
+          [18446744073709551617, 3 * 18446744073709551617, 0]))
+@settings(max_examples=300, deadline=None)
+def test_stratum_moduli_match_the_stratum_rule(args):
+    system, den, ds = args
+    n = system.prefix_length
+    b = oracles.running_products(system, n)
+    moduli = stratum_moduli(MeasureWindow(system, 1, n), den)
+    for k, (g, h) in enumerate(moduli, 1):
+        lev = system.level(k)
+        an, big = lev.scale * lev.count, den * b[k]
+        # the same moduli by G = gcd(den B_k, a_k N_k)
+        common = math.gcd(big, an)
+        assert (g, h) == (big // common, big // common * lev.count
+                          // math.gcd(an // common, lev.count))
+        for d in ds:
+            t = F(d * an, big)
+            rule = t.denominator == 1 and t.numerator % lev.count != 0
+            assert (d % g == 0 and d % h != 0) == rule
 
 
 # ---------------------------------------------------------------------------

@@ -8,13 +8,16 @@ import json
 import math
 from fractions import Fraction as F
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from moran import spectra
+from moran.errors import InvariantError
 from moran.fourier import MeasureWindow, zero_set, zero_stratum
 from moran.spectra import (CandidateSet, DecompositionResult, is_bizero,
-                           maximal_bizero_subset, suitable_decomposition,
-                           verify_decomposition)
+                           is_spectrum, maximal_bizero_subset,
+                           suitable_decomposition, verify_decomposition)
 from moran.system import parse_system
 
 
@@ -208,3 +211,121 @@ def test_verify_decomposition_matches_reference_on_hand_built_results(
                                     spectrum)
         assert _clauses(verify_decomposition(built)) == \
             _reference_report(built)
+
+
+# ---------------------------------------------------------------------------
+# nested windows: the spectral_splits systems nest (h_k | g_{k+1}), so the
+# checks below run the class refinement first and the pair scans only to
+# name what failed
+
+
+@given(spectral_splits(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_nested_checks_match_reference_with_one_element_moved(args, data):
+    system, n, k, spectrum = args
+    result = suitable_decomposition(system, n, k, spectrum)
+    nu, omega = MeasureWindow(system, 1, k), MeasureWindow(system, k + 1, n)
+    # move one element by a level step, a period fraction or any rational
+    old = data.draw(st.sampled_from(spectrum.elements))
+    j = data.draw(st.integers(1, n))
+    lev = system.level(j)
+    new = old + data.draw(st.sampled_from([
+        F(system.level_product(j), lev.scale * lev.count),
+        F(system.level_product(n), data.draw(st.integers(2, 5))),
+        F(data.draw(st.integers(-7, 7)), data.draw(st.integers(1, 9)))]))
+    moved = CandidateSet.of([new if x == old else x for x in spectrum])
+    window = MeasureWindow(system, 1, n)
+    assert is_bizero(window, moved) == \
+        oracles.is_bizero_reference(window, moved.elements)
+    if F(0) in moved:
+        assert maximal_bizero_subset(nu, moved).elements == \
+            oracles.maximal_bizero_subset_reference(nu, moved.elements)
+    # the same move inside a decomposition: candidate, head and part
+    swap = lambda s: CandidateSet.of([new if x == old else x for x in s])
+    parts = {(new if a == old else a): swap(s)
+             for a, s in result.parts.items()}
+    built = DecompositionResult(system, n, k, swap(result.head), parts,
+                                moved)
+    assert _clauses(verify_decomposition(built)) == _reference_report(built)
+
+
+QUARTER = _system([(4, 2, 1), (4, 2, 1)])  # canonical spectrum {0, 2, 8, 10}
+
+
+@pytest.mark.parametrize("parts, witness", [
+    # a part spans two classes mod h_1 = 4
+    ({0: [0, 8, 10], 2: [2]}, "within Lambda[0]: -10"),
+    # two parts share the class 0 mod 4
+    ({0: [0], 8: [8], 2: [2, 10]}, "across parts: 0 - 8"),
+])
+def test_containments_when_parts_break_the_classes(parts, witness):
+    head = CandidateSet.of([0, 2])
+    built = DecompositionResult(
+        QUARTER, 2, 1, head, {F(a): CandidateSet.of(v)
+                              for a, v in parts.items()},
+        CandidateSet.of([0, 2, 8, 10]))
+    clauses = _clauses(verify_decomposition(built))
+    assert clauses == _reference_report(built)
+    assert clauses[-1] == ("containments", False, witness)
+
+
+def _count_zero_set_calls(monkeypatch):
+    calls = []
+
+    def counting_zero_set(window, den):
+        in_zero_set = zero_set(window, den)
+
+        def predicate(d):
+            calls.append(d)
+            return in_zero_set(d)
+        return predicate
+
+    monkeypatch.setattr(spectra, "zero_set", counting_zero_set)
+    return calls
+
+
+@given(spectral_splits())
+@settings(max_examples=30, deadline=None)
+def test_passing_nested_checks_make_no_pairwise_calls(args):
+    system, n, k, spectrum = args
+    result = suitable_decomposition(system, n, k, spectrum)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        calls = _count_zero_set_calls(monkeypatch)
+        assert is_spectrum(MeasureWindow(system, 1, n),
+                           spectrum).status == "Spectrum"
+        assert verify_decomposition(result).passed
+        assert calls == []
+
+
+def test_class_counts_do_not_decide_windows_that_do_not_nest():
+    # in each window some h_k does not divide g_{k+1}; the class counts
+    # agree level by level although the set is not bi-zero, the maximal
+    # bi-zero subset keeps two elements of one class mod the last h, and
+    # the pair scan's parts are not the classes mod h_k
+    window = MeasureWindow(_system([(6, 3, 1), (6, 3, 3), (7, 2, 1)]), 1, 3)
+    cs = CandidateSet.of([-246, 0, 130])
+    assert is_bizero(window, cs) == \
+        oracles.is_bizero_reference(window, cs.elements) == \
+        (False, (F(-246), F(0)))
+    window = MeasureWindow(_system([(6, 3, 2), (4, 4, 1), (3, 3, 2)]), 2, 3)
+    cs = CandidateSet.of([0, 18, 24, 78, 114])
+    assert maximal_bizero_subset(window, cs) == cs
+    assert oracles.maximal_bizero_subset_reference(window, cs.elements) == \
+        cs.elements
+    system = _system([(6, 1, 1), (6, 3, 1), (5, 3, 3)])
+    spectrum = CandidateSet.of(range(0, 180, 20))
+    result = suitable_decomposition(system, 3, 1, spectrum)
+    assert result.parts == {F(0): spectrum}
+    assert _clauses(verify_decomposition(result)) == _reference_report(result)
+    with pytest.raises(InvariantError, match="not a partition"):
+        suitable_decomposition(system, 3, 2, spectrum)
+
+
+def test_windows_that_do_not_nest_scan_pairs(monkeypatch):
+    calls = _count_zero_set_calls(monkeypatch)
+    # N_2 = 3 does not divide b_2 = 4; over den = 3, h_1 = 6 does not
+    # divide g_2 = 8, and 8/3 lies in level 2's stratum
+    system = _system([(2, 2, 1), (4, 3, 1)])
+    assert is_bizero(MeasureWindow(system, 1, 2),
+                     CandidateSet.of([0, F(8, 3)])) == (True, None)
+    assert calls == [8]

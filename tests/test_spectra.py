@@ -4,6 +4,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from moran.errors import BudgetError, NotSpectralError
@@ -28,7 +29,7 @@ from moran.spectra import (
     verify_decomposition,
     window_atoms,
 )
-from moran.system import parse_system
+from moran.system import digit_progressions, parse_system, sumset_counts
 
 
 def _sys(b, n, scale=None, tail='{"kind": "none"}'):
@@ -98,6 +99,23 @@ def test_window_atoms_collision_flag():
     assert collide and n < 6
     n, collide = window_atoms(MeasureWindow(QUARTER, 1, 2))
     assert (n, collide) == (4, False)
+
+
+@given(st.lists(st.tuples(st.integers(2, 6), st.integers(1, 6)),
+                min_size=1, max_size=5), st.integers(1, 12), st.data())
+@settings(max_examples=200, deadline=None)
+def test_atom_count_closed_form_matches_sumset_counts(levels, top, data):
+    # N_k <= b_k past the window's first level; the first level's N is free
+    levels = [(b, min(n, b)) for b, n in levels]
+    first = data.draw(st.integers(1, len(levels)))
+    levels[first - 1] = (levels[first - 1][0], top)
+    system = _sys([b for b, _ in levels], [n for _, n in levels])
+    last = data.draw(st.integers(first, len(levels)))
+    sums = sumset_counts(digit_progressions(system, first, last))
+    enumerated = (len(sums), sum(sums.values()) != len(sums))
+    assert window_atoms(MeasureWindow(system, first, last)) == enumerated
+    assert enumerated == (math.prod(n for _, n in levels[first - 1:last]),
+                          False)
 
 
 def test_canonical_spectrum_examples():
