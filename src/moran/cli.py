@@ -283,6 +283,10 @@ def run(argv: Sequence[str], out: Optional[TextIO] = None,
         return 1
     except SystemExit as exc:
         return exc.code
+    # print big integers in full (Python 3.10 before 3.10.7 has no cap)
+    cap = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if cap is not None:
+        sys.set_int_max_str_digits(0)
     try:
         return _HANDLERS[args.command](args, out)
     except NotSpectralError as exc:  # a verdict (spectrum, complement)
@@ -297,6 +301,9 @@ def run(argv: Sequence[str], out: Optional[TextIO] = None,
     except (MoranError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=err)
         return 1
+    finally:
+        if cap is not None:
+            sys.set_int_max_str_digits(cap)
 
 
 def main() -> None:

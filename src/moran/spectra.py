@@ -43,18 +43,25 @@ MAX_QGRID_WORK = 10 ** 7
 
 @dataclass(frozen=True)
 class CandidateSet:
-    """A finite, strictly sorted, duplicate-free set of rationals."""
+    """A finite, strictly sorted, duplicate-free set of rationals; nums are
+    its numerators over den, the lcm of its denominators (1 when empty)."""
 
     elements: tuple[Fraction, ...]
 
     def __post_init__(self):
-        for a, b in zip(self.elements, self.elements[1:]):
-            if not a < b:
-                raise ValueError("elements must be strictly sorted")
+        den = math.lcm(*(x.denominator for x in self.elements))
+        nums = tuple(x.numerator * (den // x.denominator) for x in self.elements)
+        if any(a >= b for a, b in zip(nums, nums[1:])):
+            raise ValueError("elements must be strictly sorted")
+        self.__dict__.update(den=den, nums=nums)  # frozen: no setattr
 
     @classmethod
     def of(cls, values: Iterable) -> "CandidateSet":
         return cls(tuple(sorted({Fraction(v) for v in values})))
+
+    @classmethod
+    def over(cls, den: int, nums: Iterable[int]) -> "CandidateSet":
+        return cls(tuple(Fraction(x, den) for x in nums))
 
     def __iter__(self) -> Iterator[Fraction]:
         return iter(self.elements)
@@ -64,8 +71,9 @@ class CandidateSet:
 
     def __contains__(self, value) -> bool:
         value = Fraction(value)
-        i = bisect_left(self.elements, value)
-        return i < len(self.elements) and self.elements[i] == value
+        x, r = divmod(value.numerator * self.den, value.denominator)
+        i = bisect_left(self.nums, x)
+        return not r and i < len(self.nums) and self.nums[i] == x
 
 
 def parse_candidates(text: str) -> CandidateSet:
@@ -101,11 +109,9 @@ def window_atoms(window: MeasureWindow) -> tuple[int, bool]:
     return len(sums), sum(sums.values()) != len(sums)
 
 
-def _integers(*sets: Iterable[Fraction]) -> tuple[int, list[list[int]]]:
-    """(den, nums): den = lcm of all denominators, nums[i] = set i over den."""
-    den = math.lcm(*(x.denominator for s in sets for x in s))
-    return den, [[x.numerator * (den // x.denominator) for x in s]
-                 for s in sets]
+def _rescaled(cs: CandidateSet, den: int) -> list[int]:
+    """cs's numerators over den, a multiple of cs.den."""
+    return [x * (den // cs.den) for x in cs.nums]
 
 
 def _nested_moduli(window: MeasureWindow,
@@ -136,7 +142,7 @@ def is_bizero(window: MeasureWindow, cs: CandidateSet
 
     On failure returns the lexicographically first violating pair.
     """
-    den, (nums,) = _integers(cs)
+    den, nums = cs.den, cs.nums
     moduli = _nested_moduli(window, den)
     if moduli is not None and _refines(nums, moduli):
         return True, None
@@ -195,7 +201,7 @@ def canonical_spectrum(system: MoranSystem, n: int) -> CandidateSet:
         for big, lev in rows)
     if any(mult != 1 for mult in sums.values()):
         raise InvariantError("canonical spectrum summands collide")
-    cs = CandidateSet(tuple(Fraction(x, den) for x in sorted(sums)))
+    cs = CandidateSet.over(den, sorted(sums))
     cert = is_spectrum(MeasureWindow(system, 1, n), cs)
     if cert.status != SPECTRUM:
         raise InvariantError(f"canonical spectrum failed verification: "
@@ -236,21 +242,19 @@ def truncation_spectral_verdict(system: MoranSystem,
 def maximal_bizero_subset(window_head: MeasureWindow,
                           cs: CandidateSet) -> CandidateSet:
     """Greedy ascending scan from {0}; maximal bi-zero subset of the head."""
-    if Fraction(0) not in cs:
+    if 0 not in cs:
         raise ValueError("candidate set must contain 0")
-    den, (nums,) = _integers(cs)
-    in_zero_set = zero_set(window_head, den)
-    moduli = _nested_moduli(window_head, den)
+    in_zero_set = zero_set(window_head, cs.den)
+    moduli = _nested_moduli(window_head, cs.den)
     # nested: an element fails iff the first of its class mod the last h did
     h = moduli[-1][1] if moduli else 0
-    kept, kept_nums, seen = [Fraction(0)], [0], {0}
-    for lam, x in zip(cs, nums):
+    kept, seen = [0], {0}
+    for x in cs.nums:
         if (key := x % h if h else x) not in seen:
             seen.add(key)
-            if all(in_zero_set(x - a) for a in kept_nums):
-                kept.append(lam)
-                kept_nums.append(x)
-    return CandidateSet.of(kept)
+            if all(in_zero_set(x - a) for a in kept):
+                kept.append(x)
+    return CandidateSet.over(cs.den, sorted(kept))
 
 
 @dataclass(frozen=True)
@@ -276,27 +280,26 @@ def suitable_decomposition(system: MoranSystem, n: int, k: int,
     nu = MeasureWindow(system, 1, k)
     omega = MeasureWindow(system, k + 1, n)
     head = maximal_bizero_subset(nu, cs)
-    parts: dict[Fraction, list[Fraction]] = {a: [a] for a in head}
-    den, (nums, head_nums) = _integers(cs, head)
-    moduli = _nested_moduli(whole, den)
+    # each head element's part, as ascending numerators over cs.den
+    parts: dict[int, list[int]] = {y: [] for y in _rescaled(head, cs.den)}
+    moduli = _nested_moduli(whole, cs.den)
     if moduli is not None:
         # nested, x - y in Z(1..n): it is in Z(omega) \ Z(nu) iff h_k | x - y
         h = moduli[k - 1][1]
-        heads = {y % h: a for a, y in zip(head, head_nums)}
-        for lam, x in zip(cs, nums):
-            if (a := heads.get(x % h)) is not None:
-                parts[a].append(lam)  # a itself again: CandidateSet.of dedups
+        heads = {y % h: part for y, part in parts.items()}
+        for x in cs.nums:
+            if (part := heads.get(x % h)) is not None:
+                part.append(x)
     else:
-        in_nu, in_omega = zero_set(nu, den), zero_set(omega, den)
-        for lam, x in zip(cs, nums):
-            for a, y in zip(head, head_nums):
-                if x != y and in_omega(x - y) and not in_nu(x - y):
-                    parts[a].append(lam)
-    sets = {a: CandidateSet.of(vals) for a, vals in parts.items()}
-    covered = sorted(x for s in sets.values() for x in s)
-    if covered != list(cs):
+        in_nu, in_omega = zero_set(nu, cs.den), zero_set(omega, cs.den)
+        for x in cs.nums:
+            for y, part in parts.items():
+                if x == y or (in_omega(x - y) and not in_nu(x - y)):
+                    part.append(x)
+    if sorted(x for part in parts.values() for x in part) != list(cs.nums):
         raise InvariantError("suitable decomposition is not a partition")
-    return DecompositionResult(system, n, k, head, sets, cs)
+    sets = [CandidateSet.over(cs.den, part) for part in parts.values()]
+    return DecompositionResult(system, n, k, head, dict(zip(head, sets)), cs)
 
 
 @dataclass(frozen=True)
@@ -315,22 +318,21 @@ class DecompositionReport:
         return all(c.ok for c in self.clauses)
 
 
-def _containment_witnesses(parts, in_nu, in_omega) -> Iterator[str]:
+def _containment_witnesses(parts, den, in_nu, in_omega) -> Iterator[str]:
     """Differences breaking (Lambda_a - Lambda_a) \\ {0} in Z(omega) \\ Z(nu),
-    then cross differences outside Z(nu); parts: (a, elements, numerators)."""
-    for a, elems, nums in parts:
-        for x, p in zip(elems, nums):
-            for y, q in zip(elems, nums):
+    then cross differences outside Z(nu); parts: (a, numerators over den)."""
+    fmt = lambda x: format_rational(Fraction(x, den))
+    for a, nums in parts:
+        for p in nums:
+            for q in nums:
                 if p != q and (not in_omega(p - q) or in_nu(p - q)):
-                    yield (f"within Lambda[{format_rational(a)}]: "
-                           f"{format_rational(x - y)}")
-    for i, (_, elems, nums) in enumerate(parts):
-        for _, elems2, nums2 in parts[i + 1:]:
-            for x, p in zip(elems, nums):
-                for y, q in zip(elems2, nums2):
+                    yield f"within Lambda[{format_rational(a)}]: {fmt(p - q)}"
+    for i, (_, nums) in enumerate(parts):
+        for _, nums2 in parts[i + 1:]:
+            for p in nums:
+                for q in nums2:
                     if not in_nu(p - q):
-                        yield (f"across parts: {format_rational(x)} - "
-                               f"{format_rational(y)}")
+                        yield f"across parts: {fmt(p)} - {fmt(q)}"
 
 
 def verify_decomposition(result: DecompositionResult) -> DecompositionReport:
@@ -340,9 +342,14 @@ def verify_decomposition(result: DecompositionResult) -> DecompositionReport:
     omega = MeasureWindow(system, k + 1, n)
     clauses = []
 
-    covered = sorted(x for s in result.parts.values() for x in s)
-    partition_ok = (covered == list(result.candidate)
-                    and all(a in s for a, s in result.parts.items()))
+    # a hand-built result may mix denominators: put all of it over one
+    den = math.lcm(result.candidate.den, *(a.denominator for a in result.parts),
+                   *(s.den for s in result.parts.values()))
+    items = sorted(result.parts.items(), key=lambda item: int(item[0] * den))
+    parts = [(a, _rescaled(s, den)) for a, s in items]
+    partition_ok = (sorted(x for _, nums in parts for x in nums)
+                    == _rescaled(result.candidate, den)
+                    and all(a in s for a, s in items))
     clauses.append(ClauseCheck(
         "partition", partition_ok,
         None if partition_ok else "parts do not partition the spectrum"))
@@ -352,25 +359,21 @@ def verify_decomposition(result: DecompositionResult) -> DecompositionReport:
         "head-spectrum", cert.status == SPECTRUM,
         None if cert.status == SPECTRUM else f"A: {cert.status}"))
 
-    items = sorted(result.parts.items())
     witness = next((f"Lambda[{format_rational(a)}]: {status}" for a, s in items
                     if (status := is_spectrum(omega, s).status) != SPECTRUM),
                    None)
     clauses.append(ClauseCheck("part-spectra", witness is None, witness))
 
-    den, nums = _integers(result.candidate, result.head,
-                          *(s for _, s in items))
-    parts = [(a, s.elements, x) for (a, s), x in zip(items, nums[2:])]
     moduli = _nested_moduli(MeasureWindow(system, 1, n), den)
     # nested: it holds iff each part is bi-zero on omega (so one class mod h_k)
     # and one element per part is on nu (then so is each cross difference)
     if (moduli is not None
-            and all(_refines(x, moduli[k:]) for _, _, x in parts)
-            and _refines([x[0] for _, _, x in parts if x], moduli[:k])):
+            and all(_refines(x, moduli[k:]) for _, x in parts)
+            and _refines([x[0] for _, x in parts if x], moduli[:k])):
         witness = None
     else:
         witness = next(_containment_witnesses(
-            parts, zero_set(nu, den), zero_set(omega, den)), None)
+            parts, den, zero_set(nu, den), zero_set(omega, den)), None)
     clauses.append(ClauseCheck("containments", witness is None, witness))
     return DecompositionReport(tuple(clauses))
 
@@ -409,8 +412,8 @@ def _finite_q(window: MeasureWindow, cs: CandidateSet, den: int,
     order and summed in candidate order, as point by point."""
     levels = [(lev.scale, lev.count, den * big)
               for big, lev in window.system.levels(window.first, window.last)]
-    classes = [[(k, a * (lam.numerator * (den // lam.denominator)) % d)
-                for k, (a, _, d) in enumerate(levels)] for lam in cs]
+    classes = [[(k, a * x % d) for k, (a, _, d) in enumerate(levels)]
+               for x in _rescaled(cs, den)]
     for i in range(0, len(nums), QGRID_BLOCK):
         block = nums[i:i + QGRID_BLOCK]
         columns: dict[tuple[int, int], list[float]] = {}
@@ -442,8 +445,7 @@ def q_grid(window: MeasureWindow, cs: CandidateSet, start: Fraction,
         raise ValueError("step must be positive")
     start, step = Fraction(start), Fraction(step)
     # xi, the step and every lambda over one common denominator
-    den = math.lcm(start.denominator, step.denominator,
-                   *(lam.denominator for lam in cs))
+    den = math.lcm(start.denominator, step.denominator, cs.den)
     first = start.numerator * (den // start.denominator)
     stride = step.numerator * (den // step.denominator)
     count = (Fraction(stop) - start) // step + 1
@@ -489,7 +491,9 @@ def spectrum_search(window: MeasureWindow,
     if len(vertices) > budget:
         raise BudgetError(f"{len(vertices)} vertices exceed budget {budget}")
 
-    target, _ = window_atoms(window)
+    target, collided = window_atoms(window)
+    if collided:  # atoms of unequal weight: no spectrum (a unitary matrix)
+        return None
     # depth-first over ascending candidates, so the first full clique is the
     # smallest: frame k holds the vertices above clique[k] adjacent to all of
     # clique[:k + 1] and the index of the next one to try, and is dropped
@@ -504,6 +508,4 @@ def spectrum_search(window: MeasureWindow,
             clique.append(v)
             stack.append((cands, i + 1))
             stack.append(([u for u in cands[i + 1:] if good[u - v]], 0))
-    if not clique:
-        return None
-    return CandidateSet.of(Fraction(j, grid) for j in clique)
+    return CandidateSet.over(grid, clique) if clique else None

@@ -15,7 +15,7 @@ from functools import cached_property
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence, Union
 
-from .errors import HorizonError, ParseError
+from .errors import BudgetError, HorizonError, ParseError
 
 CONVERGENT = "Convergent"
 DIVERGENT = "Divergent"
@@ -25,6 +25,9 @@ GEOMETRIC_RATIO = "geometric-ratio"
 RATIO_TEST = "ratio-test"
 NONVANISHING_TERMS = "nonvanishing-terms"
 FINITE_PREFIX = "finite-prefix"
+
+# most terms (partial sums, over all summands) a sumset enumeration may form
+MAX_SUMSET_TERMS = 2 ** 20
 
 
 def parse_rational(value) -> Fraction:
@@ -199,10 +202,15 @@ def digit_progressions(system: MoranSystem, first: int,
 
 
 def sumset_counts(summands: Iterable[Sequence[int]]) -> dict[int, int]:
-    """Multiplicity of each sum x_1 + ... + x_r, x_i drawn from the i-th
-    summand; repeated elements of a summand count separately."""
-    counts = {0: 1}
+    """Multiplicity of each sum x_1 + ... + x_r, x_i from the i-th summand
+    (repeats count separately); BudgetError past MAX_SUMSET_TERMS terms."""
+    counts, terms = {0: 1}, 0
     for summand in summands:
+        # a range's size without len(), which fails past sys.maxsize elements
+        terms += len(counts) * (-((summand.start - summand.stop) // summand.step)
+                                if isinstance(summand, range) else len(summand))
+        if terms > MAX_SUMSET_TERMS:
+            raise BudgetError(f"sumset of more than {MAX_SUMSET_TERMS} terms")
         new: dict[int, int] = {}
         for v, mult in counts.items():
             for x in summand:

@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 
@@ -201,6 +202,64 @@ def test_check_spectrum_counts_atoms_without_enumerating(tmp_path):
                                 "violating-pair: 0 1/2\n", "")
 
 
+def test_check_spectrum_prints_big_integers_in_full(tmp_path):
+    # 2^15000 atoms: 4,516 digits, past the interpreter's default cap on
+    # int-to-str conversion, which run() lifts and then restores
+    binary = tmp_path / "binary.json"
+    binary.write_text(json.dumps(
+        {"prefix": {"b": [2], "N": [2]},
+         "tail": {"kind": "periodic", "b": [2], "N": [2]}}), encoding="utf-8")
+    lam = tmp_path / "lam.txt"
+    lam.write_text("0\n1/2\n", encoding="utf-8")
+    lift = hasattr(sys, "set_int_max_str_digits")
+    cap = sys.get_int_max_str_digits() if lift else None
+    try:
+        if lift:
+            sys.set_int_max_str_digits(4300)
+        code, out, err = _run(["check-spectrum", str(binary), "--level",
+                               "15000", "--lambda", str(lam)])
+        if lift:
+            assert sys.get_int_max_str_digits() == 4300
+            sys.set_int_max_str_digits(0)
+        atoms = str(2 ** 15000)
+    finally:
+        if lift:
+            sys.set_int_max_str_digits(cap)
+    assert (code, err) == (0, "")
+    assert out == (f"status: OrthogonalityFail\natoms: {atoms}\n"
+                   "cardinality: 2\nviolating-pair: 0 1/2\n")
+
+
+HUGE = {"prefix": {"b": [2 ** 1030, 4], "N": [2 ** 1024, 2]},
+        "tail": {"kind": "periodic", "b": [4], "N": [2]}}
+BINARY = {"prefix": {"b": [2], "N": [2]},
+          "tail": {"kind": "periodic", "b": [2], "N": [2]}}
+
+
+@pytest.mark.parametrize("doc, command, level", [
+    (HUGE, "spectrum", "1"),
+    (HUGE, "complement", "2"),
+    (HUGE, "fuglede", "2"),
+    (BINARY, "spectrum", "40"),
+])
+def test_digit_sums_past_the_bound_exit_2(tmp_path, doc, command, level):
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = _cli_subprocess(command, str(path), "--level", level)
+    assert (code, out) == (2, "")
+    assert err == "budget exceeded: sumset of more than 1048576 terms\n"
+
+
+def test_search_with_colliding_atoms_prints_none(tmp_path):
+    # 40 distinct atoms of 64 with unequal weights: no spectrum
+    path = tmp_path / "collide.json"
+    path.write_text(json.dumps(
+        {"prefix": {"b": [4, 4, 4], "N": [4, 4, 4], "scale": [2, 1, 2]},
+         "tail": {"kind": "none"}}), encoding="utf-8")
+    assert _cli_subprocess("search", str(path), "--level", "3") == \
+        (0, "NONE\n", "")
+
+
 def test_tile_verdicts(corpus):
     code, out, _ = _run(["tile", corpus["tile.txt"]])
     assert code == 0 and out == "TILE m=16 complement=0,2,4,6\n"
@@ -240,12 +299,18 @@ def test_tile_deep_window_search(tmp_path):
                                 "")
 
 
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30))
+
+
 def _cli_subprocess(*argv):
-    # a fresh interpreter with a timeout: a run without bound fails the test
+    # a fresh interpreter with a timeout and 1 GiB of address space: a run
+    # without bound fails the test
     src = os.path.dirname(os.path.dirname(moran.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     done = subprocess.run([sys.executable, "-m", "moran.cli", *argv],
-                          capture_output=True, text=True, env=env, timeout=20)
+                          capture_output=True, text=True, env=env, timeout=20,
+                          preexec_fn=_limit_address_space)
     return done.returncode, done.stdout, done.stderr
 
 

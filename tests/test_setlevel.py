@@ -213,6 +213,51 @@ def test_verify_decomposition_matches_reference_on_hand_built_results(
             _reference_report(built)
 
 
+@given(spectral_splits(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_verify_decomposition_puts_mixed_denominators_over_one(args, data):
+    # head, parts, their keys and the candidate drawn with their own
+    # denominators: one clause list, witnesses included, as the reference
+    system, n, k, _ = args
+    rationals = st.builds(F, st.integers(-40, 40),
+                          st.sampled_from([1, 2, 3, 5, 7, 12]))
+    sets = st.lists(rationals, max_size=5).map(CandidateSet.of)
+    built = DecompositionResult(
+        system, n, k, data.draw(sets),
+        data.draw(st.dictionaries(rationals, sets, max_size=4)),
+        data.draw(sets))
+    assert _clauses(verify_decomposition(built)) == _reference_report(built)
+
+
+def test_verify_decomposition_example_with_three_denominators():
+    head = CandidateSet.of([0, F(2, 3)])
+    parts = {F(0): CandidateSet.of([0, F(8, 5)]),
+             F(2, 3): CandidateSet.of([F(2, 3), F(10, 7)])}
+    built = DecompositionResult(QUARTER, 2, 1, head, parts, CandidateSet.of(
+        [0, F(2, 3), F(8, 5), F(10, 7)]))
+    clauses = _clauses(verify_decomposition(built))
+    assert clauses == _reference_report(built)
+    assert clauses[-1] == ("containments", False, "within Lambda[0]: -8/5")
+    # the part's 1/2 is not in the candidate {0, 1}, whose den is 1
+    built = DecompositionResult(QUARTER, 2, 1, CandidateSet.of([0]),
+                                {F(0): CandidateSet.of([0, F(1, 2)])},
+                                CandidateSet.of([0, 1]))
+    clauses = _clauses(verify_decomposition(built))
+    assert clauses == _reference_report(built)
+    assert clauses[0] == ("partition", False,
+                          "parts do not partition the spectrum")
+    # keys in descending order whose denominators no part or candidate has:
+    # the witnesses still follow the keys' order
+    built = DecompositionResult(QUARTER, 2, 1, CandidateSet.of([0]),
+                                {F(2, 5): CandidateSet.of([0]),
+                                 F(1, 3): CandidateSet.of([1])},
+                                CandidateSet.of([0, 1]))
+    clauses = _clauses(verify_decomposition(built))
+    assert clauses == _reference_report(built)
+    assert clauses[2] == ("part-spectra", False,
+                          "Lambda[1/3]: CardinalityFail")
+
+
 # ---------------------------------------------------------------------------
 # nested windows: the spectral_splits systems nest (h_k | g_{k+1}), so the
 # checks below run the class refinement first and the pair scans only to

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import random
@@ -400,3 +401,87 @@ def test_zero_stratum_difference_structure():
                         continue
                     hit = zero_stratum(w, lam - gam)
                     assert hit is not None and hit.level == n_lv
+
+
+# ---------------------------------------------------------------------------
+# the integer form (den, nums) of a candidate set
+
+
+@given(st.lists(st.builds(F, st.integers(-10 ** 6, 10 ** 6),
+                          st.sampled_from([1, 2, 3, 7, 12, 999_983])),
+                max_size=12), st.integers(1, 30))
+@settings(max_examples=200, deadline=None)
+def test_candidate_set_integer_form(values, k):
+    cs = CandidateSet.of(values)
+    assert cs.den == math.lcm(*(x.denominator for x in values))
+    assert list(cs.nums) == [x * cs.den for x in cs.elements]
+    assert all(a < b for a, b in zip(cs.nums, cs.nums[1:]))
+    # a rational between members, with a denominator den does not hold
+    assert all(x + F(1, 2 * cs.den) not in cs for x in cs)
+    assert CandidateSet.over(k * cs.den, [k * x for x in cs.nums]) == cs
+
+
+def test_set_level_checks_never_order_fractions(monkeypatch):
+    # depth 5, denominator 2; results must not change when Fractions
+    # refuse to be ordered
+    system = _sys((3, 2, 4, 2, 3), (2, 2, 2, 2, 3))
+    window = MeasureWindow(system, 1, 5)
+    spectrum = canonical_spectrum(system, 5)
+    moved = CandidateSet.of([x + F(1, 2) if x == 3 else x for x in spectrum])
+    unnested = _sys((6, 6, 5), (1, 3, 3), (1, 1, 3))
+    steps = CandidateSet.of(range(0, 180, 20))
+    calls = [
+        lambda: canonical_spectrum(system, 5),
+        lambda: is_spectrum(window, spectrum),
+        lambda: is_spectrum(window, moved),
+        lambda: is_spectrum(MeasureWindow(TWOTHREE, 1, 2), SPEC_2218),
+        lambda: maximal_bizero_subset(MeasureWindow(system, 1, 2), spectrum),
+        lambda: maximal_bizero_subset(MeasureWindow(system, 1, 3), moved),
+        lambda: suitable_decomposition(system, 5, 2, spectrum),
+        # a window that does not nest: the parts come from the pair scan
+        lambda: suitable_decomposition(unnested, 3, 1, steps),
+        lambda: verify_decomposition(suitable_decomposition(
+            system, 5, 3, spectrum)),
+        lambda: spectrum_search(window),
+    ]
+    expected = [call() for call in calls]
+    assert expected[-1] == spectrum
+    assert expected[2].status == ORTHOGONALITY_FAIL
+
+    def refuse(self, other):
+        raise AssertionError("Fractions ordered")
+
+    for name in ("__lt__", "__le__", "__gt__", "__ge__"):
+        monkeypatch.setattr(F, name, refuse)
+    assert [call() for call in calls] == expected
+
+
+def test_colliding_windows_have_no_spectrum():
+    # every two-level window with b, N <= 4 and scales <= 3 whose atoms
+    # collide: unequal weights admit no spectrum
+    count = 0
+    for b1, b2, n1, n2, a1, a2 in itertools.product(
+            range(2, 5), range(2, 5), range(1, 5), range(1, 5), range(1, 4),
+            range(1, 4)):
+        window = MeasureWindow(_sys((b1, b2), (n1, n2), (a1, a2)), 1, 2)
+        if window_atoms(window)[1]:
+            count += 1
+            assert spectrum_search(window) is None
+            assert oracles.spectrum_search_reference(window) is None
+    assert count == 192
+
+
+def test_sumset_bound_counts_the_sums_formed():
+    # 120^3 digit choices but 834 distinct sums: formed, not refused
+    window = MeasureWindow(_sys((2, 2, 2), (120, 120, 120)), 1, 3)
+    assert window_atoms(window) == (834, True)
+    assert spectrum_search(window) is None
+    # 2^1024 digits, past what len() of a range can report
+    with pytest.raises(BudgetError, match="sumset of more than 1048576"):
+        sumset_counts([range(0, 2 ** 1025, 2)])
+    # b = N = 2 at level 20 forms 2 + 4 + ... + 2^20 > 2^20 partial sums
+    binary = _sys((2,) * 20, (2,) * 20)
+    with pytest.raises(BudgetError):
+        sumset_counts(digit_progressions(binary, 1, 20))
+    with pytest.raises(BudgetError):
+        canonical_spectrum(binary, 20)
