@@ -33,22 +33,31 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _read(path: str) -> str:
+# the interpreter's default int/str digit cap, under which every input
+# parses (Python 3.10 before 3.10.7 has no cap); output prints uncapped
+_INPUT_DIGITS = getattr(sys.int_info, "default_max_str_digits", None)
+
+
+def _digit_cap(cap: int, fn, *args):
+    """fn(*args) with the int/str digit cap set to cap (0: no cap)."""
+    if _INPUT_DIGITS is None:
+        return fn(*args)
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(cap)
+    try:
+        return fn(*args)
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+def _load(parse, path: str):
     with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+        return _digit_cap(_INPUT_DIGITS, parse, fh.read())
 
 
-def _load_system(path: str) -> system.MoranSystem:
-    return system.parse_system(_read(path))
-
-
-def _load_candidates(path: str) -> spectra.CandidateSet:
-    return spectra.parse_candidates(_read(path))
-
-
-def _load_digits(path: str) -> list[int]:
+def _parse_digits(text: str) -> list[int]:
     values = []
-    for lineno, raw in enumerate(_read(path).splitlines(), 1):
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -105,7 +114,7 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_analyze(args, out: TextIO) -> int:
-    sys_ = _load_system(args.system)
+    sys_ = _load(system.parse_system, args.system)
     report = system.check_convergence(sys_)
     print(f"convergence: {report.verdict}", file=out)
     print(f"certificate: {report.certificate}", file=out)
@@ -122,16 +131,16 @@ def _cmd_analyze(args, out: TextIO) -> int:
 
 
 def _cmd_spectrum(args, out: TextIO) -> int:
-    sys_ = _load_system(args.system)
+    sys_ = _load(system.parse_system, args.system)
     cs = spectra.canonical_spectrum(sys_, args.level)
     out.write(spectra.format_candidates(cs))
     return 0
 
 
 def _cmd_check_spectrum(args, out: TextIO) -> int:
-    sys_ = _load_system(args.system)
+    sys_ = _load(system.parse_system, args.system)
     cert = spectra.is_spectrum(MeasureWindow(sys_, 1, args.level),
-                               _load_candidates(args.lam))
+                               _load(spectra.parse_candidates, args.lam))
     print(f"status: {cert.status}", file=out)
     print(f"atoms: {cert.atom_count}", file=out)
     print(f"cardinality: {len(cert.candidate)}", file=out)
@@ -141,7 +150,7 @@ def _cmd_check_spectrum(args, out: TextIO) -> int:
 
 
 def _cmd_search(args, out: TextIO) -> int:
-    sys_ = _load_system(args.system)
+    sys_ = _load(system.parse_system, args.system)
     found = spectra.spectrum_search(MeasureWindow(sys_, 1, args.level),
                                     budget=args.budget)
     if found is None:
@@ -152,9 +161,9 @@ def _cmd_search(args, out: TextIO) -> int:
 
 
 def _cmd_decompose(args, out: TextIO) -> int:
-    sys_ = _load_system(args.system)
-    result = spectra.suitable_decomposition(sys_, args.level, args.split,
-                                            _load_candidates(args.lam))
+    sys_ = _load(system.parse_system, args.system)
+    lam = _load(spectra.parse_candidates, args.lam)
+    result = spectra.suitable_decomposition(sys_, args.level, args.split, lam)
     print(f"A: {_rationals(result.head)}", file=out)
     for alpha in result.head:
         part = result.parts[alpha]
@@ -165,12 +174,12 @@ def _cmd_decompose(args, out: TextIO) -> int:
 
 
 def _cmd_qgrid(args, out: TextIO) -> int:
-    sys_ = _load_system(args.system)
+    sys_ = _load(system.parse_system, args.system)
     window = MeasureWindow(sys_, 1, args.level)
-    samples = spectra.q_grid(window, _load_candidates(args.lam),
-                             parse_rational(args.start),
-                             parse_rational(args.stop),
-                             parse_rational(args.step))
+    lam = _load(spectra.parse_candidates, args.lam)
+    bounds = [_digit_cap(_INPUT_DIGITS, parse_rational, q)
+              for q in (args.start, args.stop, args.step)]
+    samples = spectra.q_grid(window, lam, *bounds)
     out.write("xi,Q\n")
     for xi, q in samples:
         out.write(f"{format_rational(xi)},{q!r}\n")
@@ -178,7 +187,7 @@ def _cmd_qgrid(args, out: TextIO) -> int:
 
 
 def _cmd_tile(args, out: TextIO) -> int:
-    verdict = tiling.is_integer_tile(_load_digits(args.digits),
+    verdict = tiling.is_integer_tile(_load(_parse_digits, args.digits),
                                      m_max=args.max_period)
     if verdict.kind == tiling.TILE:
         complement = ",".join(str(t) for t in verdict.complement)
@@ -196,7 +205,7 @@ def _cmd_tile(args, out: TextIO) -> int:
 
 
 def _cmd_complement(args, out: TextIO) -> int:
-    sys_ = _load_system(args.system)
+    sys_ = _load(system.parse_system, args.system)
     complement, cert = tiling.canonical_complement(sys_, args.level)
     print(system.serialize_system(complement), file=out)
     print(f"L: {cert.length}", file=out)
@@ -222,7 +231,7 @@ def _fuglede_json(report) -> dict:
 
 
 def _cmd_fuglede(args, out: TextIO) -> int:
-    sys_ = _load_system(args.system)
+    sys_ = _load(system.parse_system, args.system)
     report = fuglede.fuglede_report(sys_, args.level)
     if args.as_json:
         print(json.dumps(_fuglede_json(report), separators=(",", ":")),
@@ -246,8 +255,8 @@ def _cmd_fuglede(args, out: TextIO) -> int:
 
 
 def _cmd_tijdeman(args, out: TextIO) -> int:
-    result = tiling.tijdeman_rescale(_load_digits(args.a),
-                                     _load_digits(args.b),
+    result = tiling.tijdeman_rescale(_load(_parse_digits, args.a),
+                                     _load(_parse_digits, args.b),
                                      args.period, args.r)
     for x in result.scaled:
         print(x, file=out)
@@ -283,12 +292,8 @@ def run(argv: Sequence[str], out: Optional[TextIO] = None,
         return 1
     except SystemExit as exc:
         return exc.code
-    # print big integers in full (Python 3.10 before 3.10.7 has no cap)
-    cap = getattr(sys, "get_int_max_str_digits", lambda: None)()
-    if cap is not None:
-        sys.set_int_max_str_digits(0)
     try:
-        return _HANDLERS[args.command](args, out)
+        return _digit_cap(0, _HANDLERS[args.command], args, out)
     except NotSpectralError as exc:  # a verdict (spectrum, complement)
         print(f"NOTSPECTRAL level={exc.level}", file=out)
         return 0
@@ -301,9 +306,6 @@ def run(argv: Sequence[str], out: Optional[TextIO] = None,
     except (MoranError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=err)
         return 1
-    finally:
-        if cap is not None:
-            sys.set_int_max_str_digits(cap)
 
 
 def main() -> None:

@@ -17,7 +17,7 @@ from typing import Iterable, Iterator, Optional
 from .errors import BudgetError, InvariantError, NotSpectralError, ParseError
 from .fourier import (MeasureWindow, dirichlet, evaluate_transform,
                       stratum_moduli, zero_set, zero_stratum)
-from .system import (FormulaTail, MoranSystem, PeriodicTail,
+from .system import (FormulaTail, MoranSystem, PeriodicTail, depth_first,
                      digit_progressions, first_nondividing_level,
                      format_rational, parse_rational, sumset_counts)
 
@@ -494,18 +494,17 @@ def spectrum_search(window: MeasureWindow,
     target, collided = window_atoms(window)
     if collided:  # atoms of unequal weight: no spectrum (a unitary matrix)
         return None
-    # depth-first over ascending candidates, so the first full clique is the
-    # smallest: frame k holds the vertices above clique[k] adjacent to all of
-    # clique[:k + 1] and the index of the next one to try, and is dropped
-    # once its untried vertices cannot complete the clique
-    clique, stack = [0], [(vertices[1:], 0)]
-    while 0 < len(clique) < target:
-        cands, i = stack.pop()
-        if len(clique) + len(cands) - i < target:
-            clique.pop()
-        else:
+
+    def children(node):
+        # node: (clique size, last vertex, later vertices adjacent to all of
+        # the clique); ascending while enough remain to fill it.  The size
+        # rides in the node, as the path moves on before this resumes
+        size, _, cands = node
+        for i in range(size + len(cands) - target + 1):
             v = cands[i]
-            clique.append(v)
-            stack.append((cands, i + 1))
-            stack.append(([u for u in cands[i + 1:] if good[u - v]], 0))
-    return CandidateSet.over(grid, clique) if clique else None
+            yield size + 1, v, [u for u in cands[i + 1:] if good[u - v]]
+
+    for path in depth_first((1, 0, vertices[1:]), children):
+        if path[-1][0] == target:
+            return CandidateSet.over(grid, [v for _, v, _ in path])
+    return None

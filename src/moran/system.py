@@ -220,6 +220,21 @@ def sumset_counts(summands: Iterable[Sequence[int]]) -> dict[int, int]:
     return counts
 
 
+def depth_first(root, children: Callable[[object], Iterable]):
+    """Preorder walk under root without recursion, yielding the path to each
+    node as one list, cut back and extended in place; children(node), a list
+    or lazy, in visiting order, is called after the path to node is yielded."""
+    path, stack = [], [iter((root,))]  # stack[k]: the next nodes at depth k
+    while stack:
+        for node in stack[-1]:
+            path[len(stack) - 1:] = [node]
+            yield path
+            stack.append(iter(children(node)))
+            break
+        else:
+            stack.pop()
+
+
 @dataclass(frozen=True)
 class ConvergenceReport:
     verdict: str

@@ -7,9 +7,9 @@ bound.  Periods step by lcm(S_A), S_A the prime powers s = p^a with
 Phi_s | A(x): if A (+) C = Z_m, every prime power s | m has Phi_s | A(x) or
 Phi_s | C(x), and Phi_s(1) = p gives #A #C >= prod_{s in S_A, s | m} p *
 prod_{s in S_C} p >= m, with equality; so under T1 (prod_{S_A} p = #A) no
-s in S_A misses m.  Searches use bitmasks of at most MAX_MASK_BITS bits: a
-wider window refutation is skipped (it is only sufficient), and a longer
-period raises BudgetError.
+s in S_A misses m.  Both searches walk their trees with system.depth_first
+on bitmasks of at most MAX_MASK_BITS bits: a wider window refutation is
+skipped (it is only sufficient), and a longer period raises BudgetError.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import BudgetError, InvariantError, NotSpectralError
-from .system import (DigitLevel, MoranSystem, digit_progressions,
+from .system import (DigitLevel, MoranSystem, depth_first, digit_progressions,
                      first_nondividing_level, sumset_counts)
 
 TILE = "Tile"
@@ -137,20 +137,17 @@ def _search_complement(digits: tuple[int, ...], m: int) -> Optional[list[int]]:
     """Backtracking complement search in Z_m, least-uncovered-first fill."""
     masks = [sum(1 << ((d + t) % m) for d in digits) for t in range(m)]
     full = (1 << m) - 1
-    # depth-first in the recursion's order (children pushed in reverse);
-    # path[1:depth] holds a node's ancestors: only deeper nodes came between
-    stack, path = [(0, 0, None)], []
-    while stack:
-        cover, depth, t = stack.pop()
-        path[depth:] = [t]
-        if cover == full:
-            return path[1:]
-        hole = ~cover & full
-        s = (hole & -hole).bit_length() - 1  # least uncovered residue
-        stack.extend((cover | masks[t], depth + 1, t)
-                     for t in sorted({(s - d) % m for d in digits},
-                                     reverse=True)
-                     if not masks[t] & cover)
+
+    def children(node):  # node: (cover, the translate that completed it)
+        cover = node[0]
+        s = (~cover & (cover + 1)).bit_length() - 1  # least uncovered residue
+        return [(cover | masks[t], t)
+                for t in sorted({(s - d) % m for d in digits})
+                if not masks[t] & cover]
+
+    for path in depth_first((0, None), children):
+        if path[-1][0] == full:
+            return [t for _, t in path[1:]]
     return None
 
 
@@ -168,23 +165,15 @@ def _window_refutation(dset: tuple[int, ...], width: int,
     """
     dmask = sum(1 << d for d in dset)
     full = (1 << width) - 1
-    # depth-first: children are pushed in reverse, so the first is popped
-    # next; once the budget is spent, nodes are still tested, not expanded
-    budget, exhausted, backwards = node_budget, False, dset[::-1]
-    stack = [dmask]
-    while stack:
-        bits = stack.pop()
-        if bits & full == full:
-            return False  # a covering exists
-        if (budget := budget - 1) < 0:
-            exhausted = True
-            continue
-        inv = ~bits
-        # translates of dset by u - d, u the least uncovered position
-        shifted = dmask << ((inv & -inv).bit_length() - 1)
-        stack.extend(bits | t for d in backwards
-                     if not (t := shifted >> d) & bits)
-    return not exhausted
+
+    def children(bits):  # translates by u - d, u the least uncovered position
+        shifted = dmask << ((~bits & (bits + 1)).bit_length() - 1)
+        return [bits | t for d in dset if not (t := shifted >> d) & bits]
+
+    for visited, path in enumerate(depth_first(dmask, children)):
+        if visited >= node_budget or path[-1] & full == full:
+            return False
+    return True
 
 
 def is_integer_tile(digits: Sequence[int], m_max: int = 256) -> TileVerdict:
@@ -245,6 +234,8 @@ def tijdeman_rescale(a: Sequence[int], b: Sequence[int], m: int,
     The rescaled partition is guaranteed by Tijdeman's theorem, so a
     verification failure is reported as an invariant breach.
     """
+    if m < 1:
+        raise ValueError(f"period must be >= 1, got {m}")
     a = tuple(sorted(set(x % m for x in a)))
     b = tuple(sorted(set(x % m for x in b)))
     if 0 not in a or 0 not in b:

@@ -250,6 +250,45 @@ def test_digit_sums_past_the_bound_exit_2(tmp_path, doc, command, level):
     assert err == "budget exceeded: sumset of more than 1048576 terms\n"
 
 
+TOO_LONG = "1" + "0" * 4300  # one digit past the interpreter's default cap
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "{long_base}"],
+    ["check-spectrum", "{binary}", "--level", "1", "--lambda", "{long_lambda}"],
+    ["qgrid", "{binary}", "--level", "1", "--lambda", "{half}",
+     "--from", TOO_LONG, "--to", "1", "--step", "1"],
+    ["tile", "{long_digits}"],
+], ids=["system-base", "candidate", "qgrid-from", "digit-file"])
+def test_over_long_input_integers_exit_1(tmp_path, argv):
+    # run() prints big integers in full, but its inputs keep the cap
+    files = {"long_base": '{"prefix": {"b": [%s], "N": [2]}, '
+                          '"tail": {"kind": "none"}}' % TOO_LONG,
+             "binary": json.dumps({"prefix": {"b": [2], "N": [2]},
+                                   "tail": {"kind": "none"}}),
+             "long_lambda": f"0\n{TOO_LONG}/2\n", "half": "0\n1/2\n",
+             "long_digits": f"0\n{TOO_LONG}\n"}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    paths = {name: tmp_path / name for name in files}
+    code, out, err = _cli_subprocess(*(a.format(**paths) for a in argv))
+    assert (code, out) == (1, "") and err.startswith("error: ")
+
+
+def test_inputs_parse_up_to_the_default_cap(tmp_path):
+    # 4,300 digits parse, whatever cap the calling process has set
+    binary = tmp_path / "binary.json"
+    binary.write_text(json.dumps({"prefix": {"b": [2], "N": [2]},
+                                  "tail": {"kind": "none"}}), encoding="utf-8")
+    lam = tmp_path / "lam.txt"
+    lam.write_text(f"0\n{TOO_LONG[:-1]}\n", encoding="utf-8")
+    code, out, err = _run(["check-spectrum", str(binary), "--level", "1",
+                           "--lambda", str(lam)])
+    assert (code, err) == (0, "")
+    assert out == f"status: OrthogonalityFail\natoms: 2\ncardinality: 2\n" \
+        f"violating-pair: 0 {TOO_LONG[:-1]}\n"
+
+
 def test_search_with_colliding_atoms_prints_none(tmp_path):
     # 40 distinct atoms of 64 with unequal weights: no spectrum
     path = tmp_path / "collide.json"
@@ -382,6 +421,9 @@ def test_tijdeman(corpus):
                          "--b", corpus["comp.txt"],
                          "--period", "16", "--r", "2"])
     assert code == 1 and "error" in err
+    assert _run(["tijdeman", "--a", corpus["tile.txt"],
+                 "--b", corpus["comp.txt"], "--period", "0", "--r", "3"]) == \
+        (1, "", "error: period must be >= 1, got 0\n")
 
 
 def test_usage_errors(corpus):

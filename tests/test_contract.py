@@ -6,8 +6,11 @@ error or a budget exit leaves stdout empty, so no verdict is half written.
 Each input runs in its own interpreter, one at a time, with a wall-clock
 timeout and a bounded address space.
 
-The inputs come from a seeded generator over three families: digit counts
-past 2^1024, deep levels, and scaled levels whose atoms collide.
+The inputs come from a seeded generator over these families: digit counts
+past 2^1024, deep levels, scaled levels whose atoms collide, integers too
+long to parse (in a system, a candidate file, a digit file and a Q bound),
+digit sets for tile and tijdeman (deep tiles, window refutations, non-tiles,
+periods below 1), and malformed candidate and digit files.
 """
 
 import itertools
@@ -24,10 +27,13 @@ import moran
 from moran.fourier import MeasureWindow
 from moran.spectra import window_atoms
 from moran.system import parse_system
+from moran.tiling import is_integer_tile
 
 SEED = 11
 TIMEOUT_S = 20
 ADDRESS_SPACE = 2 ** 30
+HALF = "0\n1/2\n"
+BINARY = {"prefix": {"b": [2], "N": [2]}, "tail": {"kind": "none"}}
 
 
 def _periodic(b, n, tail_b, tail_n, scale=None):
@@ -38,6 +44,12 @@ def _periodic(b, n, tail_b, tail_n, scale=None):
             "tail": {"kind": "periodic", "b": tail_b, "N": tail_n}}
 
 
+def _on_system(doc, argv):
+    # the system file goes right after the command
+    return ({"system": json.dumps(doc), "half": HALF},
+            [argv[0], "{system}", *argv[1:]])
+
+
 def _huge_counts(rng):
     # level 1 has 2^e digits; N_2 | b_2, so the truncations are spectral
     e = rng.randint(1024, 1100)
@@ -46,7 +58,7 @@ def _huge_counts(rng):
                  ["fuglede", "--level", "2"], ["analyze"],
                  ["search", "--level", "1"],
                  ["check-spectrum", "--level", "2", "--lambda", "{half}"]):
-        yield doc, argv
+        yield _on_system(doc, argv)
 
 
 def _deep_levels(rng):
@@ -58,7 +70,7 @@ def _deep_levels(rng):
                  ["fuglede", "--level", level],
                  ["search", "--level", level],
                  ["check-spectrum", "--level", level, "--lambda", "{half}"]):
-        yield doc, argv
+        yield _on_system(doc, argv)
 
 
 def _colliding_scales(rng):
@@ -76,29 +88,95 @@ def _colliding_scales(rng):
     for argv in (["search", "--level", level], ["analyze"],
                  ["complement", "--level", level],
                  ["check-spectrum", "--level", level, "--lambda", "{half}"]):
-        yield doc, argv
+        yield _on_system(doc, argv)
+
+
+def _long_integers(rng):
+    # 10^5 digits and more: past the interpreter's default cap of 4,300, and
+    # below the 128 KiB a single command-line argument may hold
+    big = str(rng.randint(1, 9)) + "0" * rng.randint(10 ** 5, 10 ** 5 + 1000)
+    binary = json.dumps(BINARY)
+    yield ({"system": '{"prefix": {"b": [%s], "N": [2]}, "tail": {"kind": '
+                      '"none"}}' % big}, ["analyze", "{system}"])
+    yield ({"system": binary, "lam": f"0\n{big}/2\n"},
+           ["check-spectrum", "{system}", "--level", "1", "--lambda", "{lam}"])
+    yield ({"system": binary, "half": HALF},
+           ["qgrid", "{system}", "--level", "1", "--lambda", "{half}",
+            "--from", big, "--to", "1", "--step", "1"])
+    yield {"digits": f"0\n{big}\n"}, ["tile", "{digits}"]
+
+
+def _digit_lines(digits):
+    return "".join(f"{d}\n" for d in digits)
+
+
+def _first_with(rng, certificate):
+    # a random subset of [0, 24] holding 0 whose verdict has this certificate
+    while True:
+        dset = sorted({0, *rng.sample(range(1, 25), rng.randint(3, 8))})
+        if is_integer_tile(dset).certificate == certificate:
+            return dset
+
+
+def _digit_sets(rng):
+    # {0, 2^k} tiles Z_{2^(k+1)}, 2^k translates deep; past 2^11 the period
+    # outgrows the tile bitmask
+    for k in (rng.randint(9, 11), rng.randint(12, 40)):
+        yield ({"digits": _digit_lines((0, 2 ** k))},
+               ["tile", "{digits}", "--max-period", str(2 ** (k + 1))])
+    for certificate in ("window", "T1"):
+        yield ({"digits": _digit_lines(_first_with(rng, certificate))},
+               ["tile", "{digits}"])
+    k = rng.randint(2, 8)
+    files = {"a": _digit_lines((0, 2 ** k)), "b": _digit_lines(range(2 ** k))}
+    for period in (2 ** (k + 1), 0, -rng.randint(1, 64)):
+        yield files, ["tijdeman", "--a", "{a}", "--b", "{b}",
+                      "--period", str(period), "--r", str(2 * k + 1)]
+
+
+def _malformed_files(rng):
+    binary = json.dumps(BINARY)
+    for text in ("0\nx\n", "0\n1/0\n", b"0\n\xff\xfe\n"):
+        command = rng.choice(["check-spectrum", "qgrid", "decompose"])
+        extra = {"check-spectrum": [],
+                 "qgrid": ["--from", "0", "--to", "1", "--step", "1/4"],
+                 "decompose": ["--split", "1"]}[command]
+        yield ({"system": binary, "lam": text},
+               [command, "{system}", "--level", "1", "--lambda", "{lam}",
+                *extra])
+    for text in ("0\n-3\n", "", "1\n2\n", b"\xff\n"):
+        if rng.random() < 0.5:
+            yield {"digits": text}, ["tile", "{digits}"]
+        else:
+            yield ({"a": text, "b": "0\n"},
+                   ["tijdeman", "--a", "{a}", "--b", "{b}", "--period", "2",
+                    "--r", "1"])
 
 
 def _cases():
     rng = random.Random(SEED)
     families = {"huge-counts": _huge_counts, "deep-levels": _deep_levels,
-                "colliding-scales": _colliding_scales}
-    return [pytest.param(doc, argv, id=f"{name}-{argv[0]}-{i}")
+                "colliding-scales": _colliding_scales,
+                "long-integers": _long_integers, "digit-sets": _digit_sets,
+                "malformed-files": _malformed_files}
+    return [pytest.param(files, argv, id=f"{name}-{argv[0]}-{i}")
             for name, family in families.items()
-            for i, (doc, argv) in enumerate(family(rng))]
+            for i, (files, argv) in enumerate(family(rng))]
 
 
 def _limit_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE, ADDRESS_SPACE))
 
 
-@pytest.mark.parametrize("doc, argv", _cases())
-def test_cli_contract(tmp_path, doc, argv):
-    system = tmp_path / "system.json"
-    system.write_text(json.dumps(doc), encoding="utf-8")
-    half = tmp_path / "half.txt"
-    half.write_text("0\n1/2\n", encoding="utf-8")
-    argv = [argv[0], str(system)] + [a.format(half=half) for a in argv[1:]]
+@pytest.mark.parametrize("files, argv", _cases())
+def test_cli_contract(tmp_path, files, argv):
+    paths = {name: tmp_path / name for name in files}
+    for name, content in files.items():
+        if isinstance(content, bytes):
+            paths[name].write_bytes(content)
+        else:
+            paths[name].write_text(content, encoding="utf-8")
+    argv = [a.format(**paths) for a in argv]
     src = os.path.dirname(os.path.dirname(moran.__file__))
     done = subprocess.run(
         [sys.executable, "-m", "moran.cli", *argv], capture_output=True,

@@ -4,6 +4,7 @@ import threading
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from moran.errors import ParseError
 from moran.system import (
@@ -12,6 +13,7 @@ from moran.system import (
     MoranSystem,
     PeriodicTail,
     check_convergence,
+    depth_first,
     parse_rational,
     parse_system,
     serialize_system,
@@ -223,3 +225,39 @@ def test_parse_rational_forms():
     assert parse_rational(" 5/10 ") == F(1, 2)
     with pytest.raises(ParseError):
         parse_rational("1.5e3x")
+
+
+# a tree is (label, children); labels repeat, so equal subtrees can recur
+TREES = st.recursive(
+    st.tuples(st.integers(0, 3), st.just(())),
+    lambda kids: st.tuples(st.integers(0, 3),
+                           st.lists(kids, max_size=4).map(tuple)),
+    max_leaves=40)
+
+
+def _preorder(node, path=()):
+    path += (node,)
+    yield path
+    for child in node[1]:
+        yield from _preorder(child, path)
+
+
+@given(TREES, st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_depth_first_is_recursive_preorder(tree, lazy):
+    # children as a list, or as a generator resumed after deeper branches
+    # have been walked; children(node) runs only once node has been yielded
+    log = []
+
+    def children(node):
+        log.append(("children", node))
+        return (child for child in node[1]) if lazy else list(node[1])
+
+    paths = []
+    for path in depth_first(tree, children):
+        log.append(("yield", path[-1]))
+        paths.append(tuple(path))
+    assert paths == list(_preorder(tree))
+    assert log == [(event, path[-1]) for path in paths
+                   for event in ("yield", "children")]
+

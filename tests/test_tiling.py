@@ -157,6 +157,27 @@ def test_window_refutation_matches_recursive_reference(rest, budget):
         oracles.window_refutation_reference(dset, width, budget)
 
 
+def test_window_refutation_budget_boundary():
+    # T1 holds, but no packing of translates covers [0, 40): the search visits
+    # every node of its tree, so a budget of that many nodes refutes and one
+    # node fewer is inconclusive, as in the recursive reference
+    dset, width = (0, 5, 10, 12, 14, 19), 40
+    dmask = sum(1 << d for d in dset)
+
+    def tree_size(bits):
+        u = (~bits & (bits + 1)).bit_length() - 1
+        translates = ((dmask << u) >> d for d in dset)
+        return 1 + sum(tree_size(bits | t) for t in translates if not t & bits)
+
+    nodes = tree_size(dmask)
+    assert nodes == 47
+    assert is_integer_tile(dset).certificate == "window"
+    for budget, refuted in ((nodes, True), (nodes - 1, False)):
+        assert _window_refutation(dset, width, budget) is refuted
+        assert oracles.window_refutation_reference(dset, width,
+                                                   budget) is refuted
+
+
 def test_prime_power_divisors_examples():
     # 1 + x + x^3 + x^4 = Phi_2^2 Phi_6: Phi_2 once as a prime power
     assert _prime_power_divisors((0, 1, 3, 4)) == {2: 2}
@@ -265,6 +286,9 @@ def test_tijdeman_guards():
         tijdeman_rescale((0, 1, 8, 9), (0, 2, 4, 6), 16, 2)   # gcd = 2
     with pytest.raises(ValueError):
         tijdeman_rescale((0, 1, 3, 4), (0, 2), 8, 3)          # not a tiling
+    for period in (0, -16):
+        with pytest.raises(ValueError, match="period must be >= 1"):
+            tijdeman_rescale((0, 1, 8, 9), (0, 2, 4, 6), period, 3)
 
 
 def test_tijdeman_closure():
