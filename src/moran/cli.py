@@ -50,6 +50,19 @@ def _digit_cap(cap: int, fn, *args):
         sys.set_int_max_str_digits(old)
 
 
+# stderr keeps this many characters of a message: an input error must not
+# echo a whole over-long input back
+MAX_MESSAGE_CHARS = 1000
+
+
+def _cut(message) -> str:
+    text = str(message)
+    rest = len(text) - MAX_MESSAGE_CHARS
+    if rest <= 0:
+        return text
+    return f"{text[:MAX_MESSAGE_CHARS]}... ({rest} more characters)"
+
+
 def _load(parse, path: str):
     with open(path, "r", encoding="utf-8") as fh:
         return _digit_cap(_INPUT_DIGITS, parse, fh.read())
@@ -80,32 +93,37 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="moran", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def command(name, handler):
+        p = sub.add_parser(name)
+        p.set_defaults(handler=handler)
+        return p
+
     def with_level(p):
         p.add_argument("system", help="system JSON file")
         p.add_argument("--level", type=int, required=True, metavar="N")
         return p
 
-    sub.add_parser("analyze").add_argument("system")
-    with_level(sub.add_parser("spectrum"))
-    p = with_level(sub.add_parser("check-spectrum"))
+    command("analyze", _cmd_analyze).add_argument("system")
+    with_level(command("spectrum", _cmd_spectrum))
+    p = with_level(command("check-spectrum", _cmd_check_spectrum))
     p.add_argument("--lambda", dest="lam", required=True, metavar="FILE")
-    p = with_level(sub.add_parser("search"))
+    p = with_level(command("search", _cmd_search))
     p.add_argument("--budget", type=int, default=5000)
-    p = with_level(sub.add_parser("decompose"))
+    p = with_level(command("decompose", _cmd_decompose))
     p.add_argument("--split", type=int, required=True, metavar="K")
     p.add_argument("--lambda", dest="lam", required=True, metavar="FILE")
-    p = with_level(sub.add_parser("qgrid"))
+    p = with_level(command("qgrid", _cmd_qgrid))
     p.add_argument("--lambda", dest="lam", required=True, metavar="FILE")
     p.add_argument("--from", dest="start", required=True, metavar="Q")
     p.add_argument("--to", dest="stop", required=True, metavar="Q")
     p.add_argument("--step", required=True, metavar="Q")
-    p = sub.add_parser("tile")
+    p = command("tile", _cmd_tile)
     p.add_argument("digits", help="digit-set file, one integer per line")
     p.add_argument("--max-period", type=int, default=256)
-    with_level(sub.add_parser("complement"))
-    p = with_level(sub.add_parser("fuglede"))
+    with_level(command("complement", _cmd_complement))
+    p = with_level(command("fuglede", _cmd_fuglede))
     p.add_argument("--json", action="store_true", dest="as_json")
-    p = sub.add_parser("tijdeman")
+    p = command("tijdeman", _cmd_tijdeman)
     p.add_argument("--a", required=True, metavar="FILE")
     p.add_argument("--b", required=True, metavar="FILE")
     p.add_argument("--period", type=int, required=True)
@@ -263,20 +281,6 @@ def _cmd_tijdeman(args, out: TextIO) -> int:
     return 0
 
 
-_HANDLERS = {
-    "analyze": _cmd_analyze,
-    "spectrum": _cmd_spectrum,
-    "check-spectrum": _cmd_check_spectrum,
-    "search": _cmd_search,
-    "decompose": _cmd_decompose,
-    "qgrid": _cmd_qgrid,
-    "tile": _cmd_tile,
-    "complement": _cmd_complement,
-    "fuglede": _cmd_fuglede,
-    "tijdeman": _cmd_tijdeman,
-}
-
-
 def run(argv: Sequence[str], out: Optional[TextIO] = None,
         err: Optional[TextIO] = None) -> int:
     out = sys.stdout if out is None else out
@@ -287,24 +291,24 @@ def run(argv: Sequence[str], out: Optional[TextIO] = None,
         with contextlib.redirect_stdout(out):
             args = parser.parse_args(argv)
     except _UsageError as exc:
-        print(f"error: {exc}", file=err)
+        print(f"error: {_cut(exc)}", file=err)
         parser.print_usage(err)
         return 1
     except SystemExit as exc:
         return exc.code
     try:
-        return _digit_cap(0, _HANDLERS[args.command], args, out)
+        return _digit_cap(0, args.handler, args, out)
     except NotSpectralError as exc:  # a verdict (spectrum, complement)
         print(f"NOTSPECTRAL level={exc.level}", file=out)
         return 0
     except BudgetError as exc:
-        print(f"budget exceeded: {exc}", file=err)
+        print(f"budget exceeded: {_cut(exc)}", file=err)
         return 2
     except InvariantError as exc:
-        print(f"internal: {exc}", file=err)
+        print(f"internal: {_cut(exc)}", file=err)
         return 3
     except (MoranError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=err)
+        print(f"error: {_cut(exc)}", file=err)
         return 1
 
 

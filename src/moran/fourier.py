@@ -156,29 +156,19 @@ def stratum_moduli(window: MeasureWindow, den: int) -> list[tuple[int, int]]:
 
 
 def zero_set(window: MeasureWindow, den: int) -> Callable[[int], bool]:
-    """Test d -> (d/den is in the window's zero set) on integers d.
-
-    A finite window fixes its levels' stratum moduli once; an infinite one
-    asks zero_stratum.  The zero set is symmetric and never holds 0:
-    answers are kept by |d| while the returned function lives."""
-    memo = {0: False}
-    levels = None if window.last is None else stratum_moduli(window, den)
+    """Test d -> (d/den is in the window's zero set) on integers d: a finite
+    window's stratum moduli decide it, zero_stratum an infinite window's.
+    The set is symmetric, and it never holds 0, which every h_k divides."""
+    if window.last is None:
+        return lambda d: (d != 0 and zero_stratum(window, Fraction(d, den))
+                          is not None)
+    levels = stratum_moduli(window, den)
 
     def in_zero_set(d: int) -> bool:
-        d = abs(d)
-        hit = memo.get(d)
-        if hit is None:
-            if levels is None:
-                hit = zero_stratum(window, Fraction(d, den)) is not None
-            else:
-                for g, h in levels:
-                    if d % g == 0 and d % h:
-                        hit = True
-                        break
-                else:
-                    hit = False
-            memo[d] = hit
-        return hit
+        for g, h in levels:
+            if d % g == 0 and d % h:
+                return True
+        return False
 
     return in_zero_set
 

@@ -36,12 +36,10 @@ def parse_rational(value) -> Fraction:
         raise ParseError(f"not a rational: {value!r}")
     if isinstance(value, int):
         return Fraction(value)
-    if isinstance(value, float):
-        # decimal intent, not the binary float bit pattern
-        return Fraction(str(value))
-    if isinstance(value, str):
+    if isinstance(value, (float, str)):
+        # a float's decimal intent, not its bit pattern (inf and nan fail)
         try:
-            return Fraction(value.strip())
+            return Fraction(str(value).strip())
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"not a rational: {value!r}") from exc
     raise ParseError(f"not a rational: {value!r}")
@@ -341,7 +339,7 @@ def parse_system(text: str) -> MoranSystem:
     """Parse the canonical JSON system document."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # or nested too deep
         raise ParseError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict) or "prefix" not in doc:
         raise ParseError("document must be an object with a 'prefix' key")
@@ -367,7 +365,7 @@ def parse_system(text: str) -> MoranSystem:
         try:
             tail = FormulaTail(b, parse_rational(tail_doc["c"]),
                                parse_rational(tail_doc["rho"]))
-        except ValueError as exc:
+        except (ParseError, ValueError) as exc:
             raise ParseError(f"formula tail: {exc}") from exc
     else:
         raise ParseError(f"unknown tail kind {kind!r}")

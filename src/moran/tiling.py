@@ -183,12 +183,9 @@ def is_integer_tile(digits: Sequence[int], m_max: int = 256) -> TileVerdict:
     re-verified (each residue covered exactly once) before returning.
     """
     dset = sorted(set(digits))
-    if not dset or dset[0] != 0 or any(d < 0 for d in dset):
+    if not dset or dset[0] != 0:
         raise ValueError("digit set must contain 0 and be nonnegative")
     size = len(dset)
-    if size == 1:
-        return TileVerdict(TILE, period=1, complement=(0,),
-                           mask_value=1, phi_product=1)
     divisors = _prime_power_divisors(dset)
     phi_product = math.prod(divisors.values())  # Phi_{p^a}(1) = p
     if phi_product != size:

@@ -54,6 +54,39 @@ def transform_factor_product(system, first, last, xi):
         return complex(total)
 
 
+def transform_infinite(system, xi):
+    """mu_hat(xi) of the infinite window of a periodic-tail system in
+    50-digit mpmath: the product of the factors' direct sums up to the first
+    depth L at which the exact tail bound (355/113) |xi| T_L / B_L is below
+    10^-30, T_L = B_L sum_{k>L} (N_k - 1) a_k / B_k.  Each later factor is
+    within pi (N_k - 1) a_k |xi| / B_k of 1, so the product is within about
+    10^-30 of mu_hat(xi), and rounding adds far less.  T_0 is
+    tail_series_reference(system, 0), then T_k = b_k T_{k-1} - (N_k - 1) a_k;
+    each argument a_k xi / B_k is moved into (-1/2, 1/2] exactly."""
+    tail = tail_series_reference(system, 0)
+    p, q = xi.numerator, xi.denominator
+    big = atoms = 1
+    with mpmath.workdps(50):
+        total, k = mpmath.mpc(1), 0
+        while (355 * abs(p) * tail.numerator * 10 ** 30
+               >= 113 * q * tail.denominator * big):
+            k += 1
+            lev = system.level(k)
+            big *= lev.base
+            atoms *= lev.count
+            tail = lev.base * tail - (lev.count - 1) * lev.scale
+            den = q * big
+            r = lev.scale * p % den
+            if 2 * r > den:
+                r -= den
+            root = mpmath.expj(-2 * mpmath.pi * r / den)
+            factor = mpmath.mpc(1)  # 1 + root + ... + root^(N-1), Horner
+            for _ in range(lev.count - 1):
+                factor = factor * root + 1
+            total *= factor
+        return total / atoms
+
+
 def q_direct(system, first, last, lam_set, xi):
     return sum(abs(transform_direct(system, first, last, xi + lam)) ** 2
                for lam in lam_set)

@@ -275,6 +275,32 @@ def test_over_long_input_integers_exit_1(tmp_path, argv):
     assert (code, out) == (1, "") and err.startswith("error: ")
 
 
+@pytest.mark.parametrize("argv", [
+    ["tile", "{long_digits}"],
+    ["check-spectrum", "{binary}", "--level", "1", "--lambda", "{long_lambda}"],
+    ["analyze", "{long_kind}"],
+    ["search", "{binary}", "--level", "1" + "0" * 99_999],
+], ids=["digit-file", "candidate", "tail-kind", "level"])
+def test_input_errors_echo_a_bounded_message(tmp_path, argv):
+    # the message is cut at cli.MAX_MESSAGE_CHARS, the input is not echoed
+    long = "1" + "0" * 399_999
+    files = {"long_digits": f"0\n{long}\n", "long_lambda": f"0\n{long}/2\n",
+             "long_kind": json.dumps({"prefix": {"b": [2], "N": [2]},
+                                      "tail": {"kind": "x" * 400_000}}),
+             "binary": json.dumps({"prefix": {"b": [2], "N": [2]},
+                                   "tail": {"kind": "none"}})}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    paths = {name: tmp_path / name for name in files}
+    code, out, err = _cli_subprocess(*(a.format(**paths) for a in argv))
+    assert (code, out) == (1, "")
+    message = [line for line in err.splitlines(keepends=True)
+               if not line.startswith(("usage:", " "))]
+    assert len(message) == 1 and message[0].startswith("error: ")
+    assert message[0].endswith(" more characters)\n")
+    assert len(message[0].encode()) < 1200
+
+
 def test_inputs_parse_up_to_the_default_cap(tmp_path):
     # 4,300 digits parse, whatever cap the calling process has set
     binary = tmp_path / "binary.json"
@@ -487,10 +513,10 @@ def test_parser_reuse_matches_fresh_parser(corpus, tmp_path):
 
 
 def test_invariant_error_exit_code(corpus, monkeypatch):
-    def broken(args, out):
+    def broken(system):
         raise InvariantError("certificate failed")
 
-    monkeypatch.setitem(cli._HANDLERS, "analyze", broken)
+    monkeypatch.setattr(moran.system, "check_convergence", broken)
     code, out, err = _run(["analyze", corpus["quarter.json"]])
     assert (code, out, err) == (3, "", "internal: certificate failed\n")
 

@@ -2,15 +2,17 @@
 
 Every run ends in exit 0 (a verdict), 1 (an input error) or 2 (a resource
 bound), never with a traceback; a verdict leaves stderr empty, and an input
-error or a budget exit leaves stdout empty, so no verdict is half written.
-Each input runs in its own interpreter, one at a time, with a wall-clock
-timeout and a bounded address space.
+error or a budget exit leaves stdout empty, so no verdict is half written;
+stderr holds a message, never a whole input echoed back.  Each input runs
+in its own interpreter, one at a time, with a wall-clock timeout and a
+bounded address space.
 
 The inputs come from a seeded generator over these families: digit counts
 past 2^1024, deep levels, scaled levels whose atoms collide, integers too
 long to parse (in a system, a candidate file, a digit file and a Q bound),
 digit sets for tile and tijdeman (deep tiles, window refutations, non-tiles,
-periods below 1), and malformed candidate and digit files.
+periods below 1), malformed candidate and digit files, formula tails with
+rho = 1 and 3/2, malformed system documents, and level 0.
 """
 
 import itertools
@@ -32,6 +34,7 @@ from moran.tiling import is_integer_tile
 SEED = 11
 TIMEOUT_S = 20
 ADDRESS_SPACE = 2 ** 30
+MAX_STDERR_BYTES = 2048  # a message, never a whole input echoed back
 HALF = "0\n1/2\n"
 BINARY = {"prefix": {"b": [2], "N": [2]}, "tail": {"kind": "none"}}
 
@@ -153,12 +156,71 @@ def _malformed_files(rng):
                     "--r", "1"])
 
 
+def _with_system(command, level="2"):
+    # argv of a command that reads a system file, candidates {0, 1/2}
+    if command == "analyze":
+        return ["analyze"]
+    extra = {"check-spectrum": ["--lambda", "{half}"],
+             "decompose": ["--split", "1", "--lambda", "{half}"],
+             "qgrid": ["--lambda", "{half}", "--from", "0", "--to", "1",
+                       "--step", "1/4"]}.get(command, [])
+    return [command, "--level", level, *extra]
+
+
+LEVEL_COMMANDS = ("spectrum", "check-spectrum", "search", "decompose",
+                  "qgrid", "complement", "fuglede")
+
+
+def _formula_tails(rng):
+    # rho = 1 holds the counts at max(2, round(c)); rho = 3/2 lets them
+    # outgrow every base
+    commands = ("analyze", "spectrum", "check-spectrum", "fuglede", "search",
+                "complement", "qgrid")
+    for i, command in enumerate(commands):
+        doc = {"prefix": {"b": [rng.randint(2, 4)], "N": [2]},
+               "tail": {"kind": "formula", "b": rng.randint(2, 4),
+                        "c": rng.choice(["1", "5/2", "3"]),
+                        "rho": ("1", "3/2")[i % 2]}}
+        yield _on_system(doc, _with_system(command, str(rng.randint(2, 40))))
+
+
+def _malformed_systems(rng):
+    text = json.dumps(_periodic([2, 3], [2, 3], [4], [2]))
+    formula = ('{"prefix": {"b": [2], "N": [2]}, "tail": {"kind": "formula", '
+               '"b": 3, "c": %s, "rho": %s}}')
+    documents = [
+        text[:rng.randrange(1, len(text))],
+        rng.choice(["[]", "3", '"prefix"', "null"]),
+        "[" * 10 ** 5 + "]" * 10 ** 5,
+        json.dumps(_periodic([2, 3], [2], [4], [2])),
+        json.dumps(_periodic([2], [2], [], [])),
+        json.dumps(_periodic([2], [rng.choice([2.5, "2", True])], [4], [2])),
+        json.dumps({"prefix": {"b": [2], "N": [2]}, "tail": {
+            "kind": rng.choice(["geometric", "", "Periodic"])}}),
+    ]
+    for bad in ('"x"', "1e400", "NaN"):
+        documents.append(formula % ((bad, '"2"') if rng.random() < 0.5
+                                    else ('"1"', bad)))
+    for doc in documents:
+        argv = _with_system(rng.choice(("analyze",) + LEVEL_COMMANDS))
+        yield {"system": doc, "half": HALF}, [argv[0], "{system}", *argv[1:]]
+
+
+def _level_zero(rng):
+    doc = _periodic([rng.randint(2, 4)], [2], [4], [2])
+    for command in LEVEL_COMMANDS:
+        yield _on_system(doc, _with_system(command, "0"))
+
+
 def _cases():
     rng = random.Random(SEED)
     families = {"huge-counts": _huge_counts, "deep-levels": _deep_levels,
                 "colliding-scales": _colliding_scales,
                 "long-integers": _long_integers, "digit-sets": _digit_sets,
-                "malformed-files": _malformed_files}
+                "malformed-files": _malformed_files,
+                "formula-tails": _formula_tails,
+                "malformed-systems": _malformed_systems,
+                "level-zero": _level_zero}
     return [pytest.param(files, argv, id=f"{name}-{argv[0]}-{i}")
             for name, family in families.items()
             for i, (files, argv) in enumerate(family(rng))]
@@ -185,6 +247,7 @@ def test_cli_contract(tmp_path, files, argv):
     code, out, err = done.returncode, done.stdout, done.stderr
     assert code in (0, 1, 2), err
     assert "Traceback" not in err
+    assert len(err.encode()) <= MAX_STDERR_BYTES
     if code == 0:
         assert err == ""
     if code == 1 or err.startswith("budget exceeded"):

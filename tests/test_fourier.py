@@ -4,6 +4,7 @@ import math
 import random
 from fractions import Fraction as F
 
+import mpmath
 import pytest
 
 import oracles
@@ -16,7 +17,7 @@ from moran.fourier import (
     factor_transform,
     zero_stratum,
 )
-from moran.system import parse_system
+from moran.system import DigitLevel, MoranSystem, PeriodicTail, parse_system
 
 QUARTER = parse_system(
     '{"prefix": {"b": [4, 4], "N": [2, 2]},'
@@ -159,6 +160,52 @@ def test_infinite_window_truncation_bound():
         # reference: push the truncation much further
         deep = evaluate_transform(MeasureWindow(QUARTER, 1, 40), xi)
         assert abs(got.value - deep.value) <= eps + 1e-10
+
+
+def _periodic_tail_system(rng):
+    # prefix scales up to 3, N = 1 allowed in the prefix
+    prefix = tuple(DigitLevel(rng.randint(2, 6), rng.randint(1, 4),
+                              rng.randint(1, 3))
+                   for _ in range(rng.randint(0, 3)))
+    block = tuple(DigitLevel(rng.randint(2, 5), rng.randint(2, 4))
+                  for _ in range(rng.randint(1, 2)))
+    return MoranSystem(prefix, PeriodicTail(block))
+
+
+def _stratum_point(rng, system):
+    # (B_k / (a_k N_k)) m, m not in N_k Z, on a level with |xi| <= 10^4
+    while True:
+        k = rng.randint(1, system.prefix_length + 4)
+        lev = system.level(k)
+        step = F(system.level_product(k), lev.scale * lev.count)
+        top = int(10 ** 4 / step)
+        if lev.count > 1 and top >= 1:
+            m = rng.choice([1, -1]) * rng.randint(1, top)
+            if m % lev.count:
+                return step * m
+
+
+def test_infinite_window_bound_against_mpmath():
+    # the stated error_bound holds with no slack beyond the oracle's own
+    # 10^-25: off zero strata, one step beside them, and on exact zeros
+    rng = random.Random(7)
+    for i in range(200):
+        system = _periodic_tail_system(rng)
+        if i % 4 < 2:  # |xi| log-uniform in [10^-4, 10^4]
+            q = rng.randint(1, 10 ** 6)
+            xi = F(rng.choice([1, -1]) * round(10 ** rng.uniform(-4, 4) * q), q)
+        else:
+            xi = _stratum_point(rng, system)
+            if i % 4 == 2:
+                xi += F(rng.choice([1, -1]), rng.randint(1, 10 ** 12))
+        got = evaluate_transform(MeasureWindow(system, 1, None), xi,
+                                 10 ** rng.uniform(-12, -6))
+        with mpmath.workdps(50):
+            exact = oracles.transform_infinite(system, xi)
+            assert (abs(mpmath.mpc(got.value) - exact)
+                    <= got.error_bound + mpmath.mpf("1e-25")), (system, xi)
+            if i % 4 == 3:
+                assert got.exact_zero and abs(exact) <= mpmath.mpf("1e-25")
 
 
 def test_infinite_window_exact_zero():

@@ -11,6 +11,8 @@ from moran.errors import BudgetError, InvariantError, NotSpectralError
 from moran.system import parse_system, serialize_system
 from moran.tiling import (
     MAX_MASK_BITS,
+    TILE,
+    TileVerdict,
     _prime_power_divisors,
     _search_complement,
     _window_refutation,
@@ -114,8 +116,11 @@ def test_is_integer_tile_examples():
     v = is_integer_tile((0, 1))
     assert v.kind == "Tile" and v.period == 2 and v.complement == (0,)
 
-    v = is_integer_tile([0])
-    assert v.kind == "Tile" and v.period == 1 and v.complement == (0,)
+    assert is_integer_tile([0]) == TileVerdict(
+        TILE, period=1, complement=(0,), mask_value=1, phi_product=1)
+    for digits in ([], [1, 2], [-1, 0, 1]):  # a negative digit sorts first
+        with pytest.raises(ValueError, match="must contain 0"):
+            is_integer_tile(digits)
 
 
 def test_is_integer_tile_gap_four():
