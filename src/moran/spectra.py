@@ -12,7 +12,8 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional
+from functools import cached_property
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import BudgetError, InvariantError, NotSpectralError, ParseError
 from .fourier import (MeasureWindow, dirichlet, evaluate_transform,
@@ -41,19 +42,25 @@ QGRID_BLOCK = 256
 MAX_QGRID_WORK = 10 ** 7
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False)
 class CandidateSet:
-    """A finite, strictly sorted, duplicate-free set of rationals; nums are
-    its numerators over den, the lcm of its denominators (1 when empty)."""
+    """A finite, strictly sorted, duplicate-free set of rationals, held as
+    numerators nums over den, the lcm of its denominators (1 when empty);
+    ==, hash, len and in read this unique form, iteration builds Fractions."""
 
-    elements: tuple[Fraction, ...]
+    den: int
+    nums: tuple[int, ...]
 
-    def __post_init__(self):
-        den = math.lcm(*(x.denominator for x in self.elements))
-        nums = tuple(x.numerator * (den // x.denominator) for x in self.elements)
+    def __init__(self, elements: tuple[Fraction, ...]):
+        den = math.lcm(*(x.denominator for x in elements))
+        self._init(den, tuple(x.numerator * (den // x.denominator)
+                              for x in elements))
+
+    def _init(self, den: int, nums: tuple[int, ...]) -> "CandidateSet":
         if any(a >= b for a, b in zip(nums, nums[1:])):
             raise ValueError("elements must be strictly sorted")
         self.__dict__.update(den=den, nums=nums)  # frozen: no setattr
+        return self
 
     @classmethod
     def of(cls, values: Iterable) -> "CandidateSet":
@@ -61,13 +68,25 @@ class CandidateSet:
 
     @classmethod
     def over(cls, den: int, nums: Iterable[int]) -> "CandidateSet":
-        return cls(tuple(Fraction(x, den) for x in nums))
+        """{x / den : x in nums}, built without a Fraction when den > 0."""
+        if den <= 0:  # den 0 raises, as Fraction(x, 0) does, unless empty
+            return cls(tuple(Fraction(x, den) for x in nums))
+        nums = tuple(nums)
+        g = math.gcd(den, *nums)
+        return object.__new__(cls)._init(den // g, tuple(x // g for x in nums))
+
+    @cached_property
+    def elements(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(x, self.den) for x in self.nums)
+
+    def __repr__(self) -> str:
+        return f"CandidateSet(elements={self.elements!r})"
 
     def __iter__(self) -> Iterator[Fraction]:
         return iter(self.elements)
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self.nums)
 
     def __contains__(self, value) -> bool:
         value = Fraction(value)
@@ -136,22 +155,29 @@ def _refines(nums: list[int], moduli: list[tuple[int, int]]) -> bool:
     return count == len(nums)
 
 
+def _status(window: MeasureWindow, atoms: Optional[int], moduli: Optional[list],
+            den: int, nums: Sequence[int]) -> tuple[str, Optional[tuple]]:
+    """Status of nums over den on a window of atoms atoms (None: bi-zero test
+    only) and the first violating pair; moduli = _nested_moduli(window, den)."""
+    if moduli is None or not _refines(nums, moduli):
+        in_zero_set = zero_set(window, den)
+        for i, x in enumerate(nums):
+            for y in nums[i + 1:]:
+                if not in_zero_set(y - x):
+                    return ORTHOGONALITY_FAIL, (Fraction(x, den),
+                                                Fraction(y, den))
+    return (SPECTRUM if len(nums) == atoms else CARDINALITY_FAIL), None
+
+
 def is_bizero(window: MeasureWindow, cs: CandidateSet
               ) -> tuple[bool, Optional[tuple[Fraction, Fraction]]]:
     """All nonzero pairwise differences lie in the window's zero set.
 
     On failure returns the lexicographically first violating pair.
     """
-    den, nums = cs.den, cs.nums
-    moduli = _nested_moduli(window, den)
-    if moduli is not None and _refines(nums, moduli):
-        return True, None
-    in_zero_set = zero_set(window, den)
-    for i, x in enumerate(nums):
-        for j in range(i + 1, len(nums)):
-            if not in_zero_set(nums[j] - x):
-                return False, (cs.elements[i], cs.elements[j])
-    return True, None
+    pair = _status(window, None, _nested_moduli(window, cs.den), cs.den,
+                   cs.nums)[1]
+    return pair is None, pair
 
 
 @dataclass(frozen=True)
@@ -165,22 +191,14 @@ class SpectrumCertificate:
 
 
 def is_spectrum(window: MeasureWindow, cs: CandidateSet) -> SpectrumCertificate:
-    """Decide spectrum status of a finite window by orthogonality + counting.
-
-    An orthogonal family of exponentials of full cardinality in the
-    atom-count-dimensional L^2 space is a basis.
-    """
+    """Spectrum status of a finite window: an orthogonal family of exponentials
+    of full cardinality in the atom-count-dimensional L^2 space is a basis."""
     if window.last is None:
         raise ValueError("spectrum decision requires a finite window; "
                          "use q_grid for infinite-window evidence")
     atoms, collisions = window_atoms(window)
-    ok, pair = is_bizero(window, cs)
-    if not ok:
-        status = ORTHOGONALITY_FAIL
-    elif len(cs) == atoms:
-        status = SPECTRUM
-    else:
-        status = CARDINALITY_FAIL
+    status, pair = _status(window, atoms, _nested_moduli(window, cs.den),
+                           cs.den, cs.nums)
     return SpectrumCertificate(window, cs, atoms, status, pair, collisions)
 
 
@@ -359,9 +377,10 @@ def verify_decomposition(result: DecompositionResult) -> DecompositionReport:
         "head-spectrum", cert.status == SPECTRUM,
         None if cert.status == SPECTRUM else f"A: {cert.status}"))
 
-    witness = next((f"Lambda[{format_rational(a)}]: {status}" for a, s in items
-                    if (status := is_spectrum(omega, s).status) != SPECTRUM),
-                   None)
+    atoms, moduli = window_atoms(omega)[0], _nested_moduli(omega, den)
+    witness = next((f"Lambda[{format_rational(a)}]: {status}" for a, x in parts
+                    if (status := _status(omega, atoms, moduli, den, x)[0])
+                    != SPECTRUM), None)
     clauses.append(ClauseCheck("part-spectra", witness is None, witness))
 
     moduli = _nested_moduli(MeasureWindow(system, 1, n), den)

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import BudgetError, InvariantError, NotSpectralError
-from .system import (DigitLevel, MoranSystem, depth_first, digit_progressions,
-                     first_nondividing_level, sumset_counts)
+from .system import (MAX_SUMSET_TERMS, DigitLevel, MoranSystem, depth_first,
+                     digit_progressions, first_nondividing_level, sumset_counts)
 
 TILE = "Tile"
 NOT_TILE = "NotTile"
@@ -51,10 +51,20 @@ def iterated_digits(system: MoranSystem, n: int) -> IteratedDigitSet:
 
 def convolve_uniform_check(d_elements: Sequence[int], c_elements: Sequence[int],
                            length: int) -> bool:
-    """Exact counting: every s in {0, ..., L-1} has exactly one writing
-    s = d + c, and nothing falls outside."""
-    return sumset_counts((d_elements, c_elements)) == dict.fromkeys(
-        range(length), 1)
+    """Exact counting, D (+) C = {0, ..., L-1}: after the size and end checks,
+    the |D| shifts of C's bitmask set all L bits (budget as sumset_counts)."""
+    d, c = d_elements, c_elements
+    if len(d) + len(set(d)) * len(c) > MAX_SUMSET_TERMS:
+        raise BudgetError(f"sumset of more than {MAX_SUMSET_TERMS} terms")
+    if len(d) * len(c) != max(length, 0) or length <= 0:
+        return len(d) * len(c) == max(length, 0)  # L <= 0: both sums empty
+    low = min(c)
+    if min(d) + low != 0 or max(d) + max(c) != length - 1:
+        return False
+    mask, covered = sum(1 << (x - low) for x in set(c)), 0
+    for x in d:
+        covered |= mask << (x + low)
+    return covered == (1 << length) - 1
 
 
 @dataclass(frozen=True)

@@ -340,6 +340,15 @@ def _containments_reference(nu, omega, items):
     return True, None
 
 
+def convolve_uniform_reference(d_elements, c_elements, length):
+    """The dict count of D (+) C = {0, ..., L-1}: every sum d + c, repeats
+    counted, formed by sumset_counts (whose term budget raises
+    BudgetError), against {s: 1 for s in range(L)}."""
+    from moran.system import sumset_counts
+    return sumset_counts((d_elements, c_elements)) == dict.fromkeys(
+        range(length), 1)
+
+
 def window_refutation_reference(dset, width, node_budget):
     """The recursive relaxed-covering search: True iff it proves that no
     packing of translates of dset covers [0, width) within the budget."""

@@ -3,11 +3,14 @@ import json
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import oracles
+from moran.errors import BudgetError
 from moran.fourier import MeasureWindow
 from moran.fuglede import convolve_uniform_check, fuglede_report
 from moran.spectra import spectrum_search
-from moran.system import parse_system
+from moran.system import MAX_SUMSET_TERMS, parse_system
 from moran.tiling import iterated_digits
 
 
@@ -21,6 +24,88 @@ def test_convolve_examples():
     assert not convolve_uniform_check((0, 1, 3, 4), (0, 2), 8)  # s=3 twice
     assert convolve_uniform_check((0,), (0,), 1)
     assert not convolve_uniform_check((0, 1), (0, 1), 4)        # misses 3
+
+
+@st.composite
+def convolutions(draw):
+    """Small multisets D and C, repeats, negatives and empty sides allowed,
+    with L from -2 to the span of the sums + 2.  Two thirds are a direct
+    sum {0..s-1} (+) s{0..t-1} = {0, ..., st-1}, either side first, D
+    shifted by an offset and C back, and half of those moved off it by
+    one element of D that is not an end: |D| |C| = L and the end sums
+    still hold, but a sum repeats or one is missed."""
+    step = count = 0
+    if draw(st.integers(0, 2)):
+        step, count = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+        d, c = list(range(step)), [step * j for j in range(count)]
+        if draw(st.booleans()):
+            d, c = c, d
+        if len(d) > 2 and draw(st.booleans()):
+            d[draw(st.integers(1, len(d) - 2))] = draw(
+                st.integers(d[0], d[-1]))
+        shift = draw(st.integers(-3, 3))
+        d, c = [x + shift for x in d], [x - shift for x in c]
+    else:
+        d = draw(st.lists(st.integers(-4, 8), max_size=5))
+        c = draw(st.lists(st.integers(-4, 8), max_size=5))
+    # the sums span 0..L-1 at most at L = max sum + 1; half the direct
+    # sums get their own L
+    length = draw(st.integers(-2, max([0] + [x + y for x in d for y in c]) + 3))
+    if step and draw(st.booleans()):
+        length = step * count
+    return (draw(st.permutations(d)), draw(st.permutations(c)), length)
+
+
+@given(convolutions())
+@settings(max_examples=400, deadline=None)
+def test_convolve_matches_the_dict_count(args):
+    assert convolve_uniform_check(*args) == \
+        oracles.convolve_uniform_reference(*args)
+
+
+def test_convolve_edge_cases_match_the_dict_count():
+    for args in [((), (), -1), ((), (), 0), ((), (), 1), ((0,), (), 0),
+                 ((), (0,), -2), ((0, 0), (0,), 2), ((0,), (0, 0), 2),
+                 ((0, 1), (0, 0), 4), ((-1, 0), (1, 3), 4),
+                 ((-1, 0), (1, 2), 2), ((2, 3), (-2, 0), 4)]:
+        assert convolve_uniform_check(*args) == \
+            oracles.convolve_uniform_reference(*args), args
+    assert convolve_uniform_check((), (), -1)
+
+
+def _raises_budget(fn, *args):
+    try:
+        fn(*args)
+    except BudgetError:
+        return True
+    return False
+
+
+def test_convolve_budget_boundary_matches_the_dict_count():
+    # sumset_counts forms |D| terms, then (distinct D) x |C|: the budget
+    # is crossed at exactly the same sizes, repeats in D included.  C is
+    # all zeros and L = 0, so the reference forms few sums and no target
+    cap, cases = MAX_SUMSET_TERMS, []
+    for distinct, repeats in ((1024, 0), (1000, 24), (1, 1023), (3, 0)):
+        d = tuple(range(distinct)) + (0,) * repeats
+        size = (cap - len(d)) // distinct
+        cases += [(d, size + i) for i in (-1, 0, 1)]
+    cases += [((0,) * cap, 0), ((0,) * (cap + 1), 0)]
+    raised = []
+    for d, size in cases:
+        args = d, (0,) * size, 0
+        raised.append(_raises_budget(convolve_uniform_check, *args))
+        assert raised[-1] == _raises_budget(
+            oracles.convolve_uniform_reference, *args), (len(d), size)
+    assert raised.count(True) == 5
+
+
+def test_convolve_far_elements_build_no_wide_mask():
+    # one sum, 10^12 away from 0 or at 0: the end checks decide it without
+    # a 10^12-bit mask
+    assert not convolve_uniform_check((0,), (10 ** 12,), 1)
+    assert convolve_uniform_check((-10 ** 12,), (10 ** 12,), 1)
+    assert not convolve_uniform_check((0, 10 ** 12), (0,), 2)
 
 
 def test_report_quarter():

@@ -374,3 +374,27 @@ def test_windows_that_do_not_nest_scan_pairs(monkeypatch):
     assert is_bizero(MeasureWindow(system, 1, 2),
                      CandidateSet.of([0, F(8, 3)])) == (True, None)
     assert calls == [8]
+
+
+def test_part_spectra_on_a_window_that_does_not_nest():
+    # omega = levels 2..3 does not nest over den 1, so each part's status
+    # comes from the pair scan: one part CardinalityFail (bi-zero, too
+    # few), one OrthogonalityFail (1 is outside the zero set); the clause
+    # names the first failing part in key order
+    system = _system([(6, 1, 1), (6, 3, 1), (5, 3, 3)])
+    omega = MeasureWindow(system, 2, 3)
+    assert spectra._nested_moduli(omega, 1) is None
+    few, apart = CandidateSet.of([0, 20, 40]), CandidateSet.of([0, 1])
+    assert is_spectrum(omega, few).status == "CardinalityFail"
+    assert is_spectrum(omega, apart).status == "OrthogonalityFail"
+    for parts, witness in (
+            ({F(0): few, F(1): CandidateSet.of([1, 2])},
+             "Lambda[0]: CardinalityFail"),
+            ({F(0): apart, F(20): CandidateSet.of([20, 40])},
+             "Lambda[0]: OrthogonalityFail")):
+        union = CandidateSet.of(x for s in parts.values() for x in s)
+        built = DecompositionResult(system, 3, 1, CandidateSet.of(parts),
+                                    parts, union)
+        clauses = _clauses(verify_decomposition(built))
+        assert clauses == _reference_report(built)
+        assert clauses[2] == ("part-spectra", False, witness)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from moran import spectra
 from moran.errors import BudgetError, NotSpectralError
 from moran.fourier import MeasureWindow, evaluate_transform
 from moran.spectra import (
@@ -419,6 +420,61 @@ def test_candidate_set_integer_form(values, k):
     # a rational between members, with a denominator den does not hold
     assert all(x + F(1, 2 * cs.den) not in cs for x in cs)
     assert CandidateSet.over(k * cs.den, [k * x for x in cs.nums]) == cs
+
+
+def test_candidate_set_over_reduces_to_the_fraction_form():
+    cs = CandidateSet.over(12, [0, 6, 9])
+    ref = CandidateSet.of([0, F(1, 2), F(3, 4)])
+    assert (cs.den, cs.nums) == (ref.den, ref.nums) == (4, (0, 2, 3))
+    assert cs == ref and hash(cs) == hash(ref) and repr(cs) == repr(ref)
+    assert repr(cs) == ("CandidateSet(elements=(Fraction(0, 1), "
+                        "Fraction(1, 2), Fraction(3, 4)))")
+    assert list(cs) == [F(0), F(1, 2), F(3, 4)] and len(cs) == 3
+    assert F(3, 4) in cs and 0 in cs and F(1, 4) not in cs and 1 not in cs
+    # negative numerators, a negative denominator, and a factor that the
+    # denominator and numerators share
+    neg = CandidateSet.over(6, [-9, -3, 4])
+    assert (neg.den, neg.nums) == (6, (-9, -3, 4))
+    assert neg == CandidateSet.of([F(-3, 2), F(-1, 2), F(2, 3)])
+    assert CandidateSet.over(-2, [3, 1]) == CandidateSet.of([F(-3, 2),
+                                                             F(-1, 2)])
+    assert CandidateSet.over(10, [-20, 30]) == CandidateSet.of([-2, 3])
+    # the empty set, over any denominator, 0 included
+    for empty in (CandidateSet.over(0, []), CandidateSet.over(7, []),
+                  CandidateSet(()), CandidateSet.of([])):
+        assert (empty.den, empty.nums, len(empty), list(empty)) == \
+            (1, (), 0, [])
+        assert empty == CandidateSet(()) and 0 not in empty
+    with pytest.raises(ZeroDivisionError):
+        CandidateSet.over(0, [1])
+    with pytest.raises(ValueError):
+        CandidateSet.over(3, [1, 1])
+    with pytest.raises(ValueError):
+        CandidateSet.over(3, [2, 1])
+    with pytest.raises(AttributeError):  # frozen
+        cs.nums = (0,)
+    assert cs != (0, 2, 3) and cs != ref.elements
+
+
+def test_candidate_set_over_builds_no_fraction(monkeypatch):
+    built = []
+
+    class Counting(F):
+        def __new__(cls, *args, **kwargs):
+            built.append(args)
+            return super().__new__(cls, *args, **kwargs)
+
+    monkeypatch.setattr(spectra, "Fraction", Counting)
+    cs = CandidateSet.over(12, [-6, 0, 6, 9])
+    other = CandidateSet.over(4, [-2, 0, 2, 3])
+    facts = (len(cs), cs.den, cs.nums, cs == other, hash(cs) == hash(other),
+             CandidateSet.over(0, []))
+    assert built == []
+    assert facts[:5] == (4, 4, (-2, 0, 2, 3), True, True)
+    # the Fractions come on the first read of the elements, once
+    assert list(cs) == [F(-1, 2), 0, F(1, 2), F(3, 4)]
+    assert len(built) == 4
+    assert list(cs) == [F(-1, 2), 0, F(1, 2), F(3, 4)] and len(built) == 4
 
 
 def test_set_level_checks_never_order_fractions(monkeypatch):
